@@ -49,32 +49,25 @@ def _emit(args, human: str, payload: dict) -> None:
         print(human)
 
 
-def _cmd_normalize(args) -> int:
-    graph = load_graph(args.graph)
+def _cmd_normalize(graph: SimplicialGraph, args) -> None:
     word = words.normalize(graph, words.parse_word(args.word))
     _emit(args, words.format_word(word), {"word": words.format_word(word)})
-    return 0
 
 
-def _cmd_reduced(args) -> int:
-    graph = load_graph(args.graph)
+def _cmd_reduced(graph: SimplicialGraph, args) -> None:
     value = words.is_reduced(graph, words.parse_word(args.word))
     _emit(args, "true" if value else "false", {"value": value})
-    return 0
 
 
-def _cmd_equivalent(args) -> int:
-    graph = load_graph(args.graph)
+def _cmd_equivalent(graph: SimplicialGraph, args) -> None:
     if len(args.word) != 2:
         raise _UsageError("equivalent needs exactly two --word flags")
     w1, w2 = (words.parse_word(w) for w in args.word)
     value = words.are_equivalent(graph, w1, w2)
     _emit(args, "true" if value else "false", {"value": value})
-    return 0
 
 
-def _cmd_partitions(args) -> int:
-    graph = load_graph(args.graph)
+def _cmd_partitions(graph: SimplicialGraph, args) -> None:
     word = partitions.parse_labeled_word(args.word)
     pairings = partitions.enumerate_pairings(
         graph, word, args.match, args.max_word_len
@@ -84,66 +77,52 @@ def _cmd_partitions(args) -> int:
     else:
         human = "\n".join(str(p) for p in pairings)
         _emit(args, human, {"pairings": [[list(pair) for pair in p.pairs] for p in pairings]})
-    return 0
 
 
-def _cmd_moment(args) -> int:
-    graph = load_graph(args.graph)
+def _cmd_moment(graph: SimplicialGraph, args) -> None:
     word = partitions.parse_labeled_word(args.word)
     if args.method == "partitions":
         value = partitions.count_gamma_admissible(
             graph, word, args.match, args.max_word_len
         )
-        _emit(args, str(value), {"method": args.method, "value": value})
+        payload = {"value": value}
     elif args.method == "fock":
         value = fock.vacuum_moment(graph, word, args.max_word_len)
-        _emit(args, str(value), {"method": args.method, "value": value})
+        payload = {"value": value}
     else:
         signs = _signs_from_args(graph, args)
         value = spinmodel.moment_s_word(signs, word, args.N, args.max_iterations)
-        _emit(
-            args,
-            str(value),
-            {
-                "method": args.method,
-                "numerator": value.numerator,
-                "denominator": value.denominator,
-                "value": float(value),
-            },
-        )
-    return 0
+        payload = {
+            "numerator": value.numerator,
+            "denominator": value.denominator,
+            "value": float(value),
+        }
+    _emit(args, str(value), {"method": args.method, **payload})
 
 
-def _cmd_limit(args) -> int:
-    graph = load_graph(args.graph)
+def _cmd_limit(graph: SimplicialGraph, args) -> None:
     word = partitions.parse_labeled_word(args.word)
     value = partitions.limit_moment(graph, word, args.theta, args.match, args.max_word_len)
     _emit(args, repr(value), {"value": value})
-    return 0
 
 
-def _cmd_compare(args) -> int:
-    graph = load_graph(args.graph)
+def _cmd_compare(graph: SimplicialGraph, args) -> None:
     word = partitions.parse_labeled_word(args.word)
     rows = cltlab.convergence_sweep(
         graph, word, args.N_list, args.seeds, args.p, args.max_iterations
     )
     sys.stdout.write(cltlab.convergence_csv(rows))
-    return 0
 
 
-def _cmd_t_estimate(args) -> int:
-    graph = load_graph(args.graph)
+def _cmd_t_estimate(graph: SimplicialGraph, args) -> None:
     word = words.parse_word(args.word)
     pairing = PairPartition.parse(args.pairing, len(word))
     signs = _signs_from_args(graph, args)
     value = cltlab.t_estimate(signs, graph, word, pairing, args.N, args.max_iterations)
     _emit(args, repr(value), {"value": value})
-    return 0
 
 
-def _cmd_variance(args) -> int:
-    graph = load_graph(args.graph)
+def _cmd_variance(graph: SimplicialGraph, args) -> None:
     word = words.parse_word(args.word)
     pairing = PairPartition.parse(args.pairing, len(word))
     result = cltlab.variance_sweep(
@@ -157,11 +136,9 @@ def _cmd_variance(args) -> int:
         args.max_iterations,
     )
     sys.stdout.write(cltlab.variance_csv(result))
-    return 0
 
 
-def _cmd_sign_dump(args) -> int:
-    graph = load_graph(args.graph)
+def _cmd_sign_dump(graph: SimplicialGraph, args) -> None:
     signs = spinmodel.SeededSigns(graph, args.p, args.seed)
     doc = {
         "p": args.p,
@@ -171,7 +148,6 @@ def _cmd_sign_dump(args) -> int:
         "entries": spinmodel.sign_table(signs, 2 * args.N),
     }
     print(json.dumps(doc, sort_keys=True))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,9 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", choices=["human", "json"], default="human")
 
     budgets = _Parser(add_help=False)
-    budgets.add_argument("--max-word-len", type=int, default=16)
+    budgets.add_argument(
+        "--max-word-len", type=int, default=partitions.DEFAULT_MAX_WORD_LEN
+    )
     budgets.add_argument("--max-iterations", type=int, default=spinmodel.DEFAULT_BUDGET)
-    budgets.add_argument("--max-oracle-states", type=int, default=10**6)
 
     parser = _Parser(
         prog="graphmoments",
@@ -279,7 +256,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        args.func(load_graph(args.graph), args)
+        return 0
     except _UsageError:
         return 1
     except BudgetExceeded as exc:

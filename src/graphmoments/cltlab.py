@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, DomainError
 from .graph import SimplicialGraph
-from .partitions import LabeledWord, PairPartition, limit_moment
+from .partitions import LabeledWord, PairPartition, crossings, limit_moment
 from .spinmodel import DEFAULT_BUDGET, SeededSigns, SignFunction, moment_s_word
 
 Word = tuple[str, ...]
@@ -62,19 +62,15 @@ def t_estimate(
     for v in word:
         graph.require_vertex(v)
     pairs = PairPartition.from_pairs(partition.pairs, len(word)).pairs
+    if n < 1:
+        raise DomainError(f"N must be positive, got {n}")
     r = len(pairs)
     if n**r > budget:
         raise BudgetExceeded(f"N^(n/2) = {n}^{r} exceeds the budget {budget}")
     vertices = [word[e - 1] for e, _ in pairs]
     if any(word[e - 1] != word[z - 1] for e, z in pairs):
         return 0.0
-    crossing_pairs = [
-        (k, l)
-        for k in range(r)
-        for l in range(k + 1, r)
-        if pairs[k][0] < pairs[l][0] < pairs[k][1] < pairs[l][1]
-        and not graph.is_edge(vertices[k], vertices[l])
-    ]
+    crossing_pairs = crossings(graph, word, pairs)[1]
     same_vertex_before = [
         [b for b in range(a) if vertices[b] == vertices[a]] for a in range(r)
     ]
@@ -143,7 +139,7 @@ def variance_sweep(
     fit is degenerate and the slope is reported as exactly 0.
     """
     if sample_count < 2:
-        raise ValueError("sample_count must be at least 2")
+        raise DomainError(f"sample_count must be at least 2, got {sample_count}")
     rows = []
     for m in m_list:
         values = [

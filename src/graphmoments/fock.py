@@ -13,15 +13,18 @@ mapping canonical words to integers and the whole module is float-free.
 
 from __future__ import annotations
 
-from .errors import SizeLimit
+from .errors import InvalidToken, SizeLimit
 from .graph import SimplicialGraph
-from .partitions import LabeledWord, Letter, validate_labeled_word
-from .words import is_reduced
+from .partitions import (
+    DEFAULT_MAX_WORD_LEN,
+    LabeledWord,
+    Letter,
+    validate_labeled_word,
+)
+from .words import is_reduced, normal_form_order
 
 BasisWord = tuple[Letter, ...]
 FockState = dict[BasisWord, int]
-
-DEFAULT_MAX_WORD_LEN = 16
 
 Block = tuple[str, tuple[int, ...]]
 
@@ -36,44 +39,28 @@ def _split_blocks(letters: BasisWord) -> list[Block]:
     return blocks
 
 
-def _join_blocks(blocks: list[Block]) -> BasisWord:
-    return tuple((v, s) for v, spins in blocks for s in spins)
-
-
-def _canonical_blocks(graph: SimplicialGraph, blocks: list[Block]) -> list[Block]:
-    # Greedy extraction of the smallest front-movable block.  In a valid
-    # basis word two blocks of one vertex are never both front-movable
-    # (the collapsed word would not be reduced), so the choice is unique.
-    remaining = list(blocks)
-    out: list[Block] = []
-    while remaining:
-        best = None
-        for k, (v, _) in enumerate(remaining):
-            if all(u in graph.link(v) for u, _ in remaining[:k]):
-                if best is None or v < remaining[best][0]:
-                    best = k
-                else:
-                    assert v != remaining[best][0], "twin front-movable blocks"
-        assert best is not None
-        out.append(remaining.pop(best))
-    return out
+def _join_canonical(graph: SimplicialGraph, blocks: list[Block]) -> BasisWord:
+    # The blocks of a basis word collapse to a reduced vertex word, whose
+    # normal form fixes the canonical block order.
+    order = normal_form_order(graph, [v for v, _ in blocks])
+    return tuple((blocks[k][0], s) for k in order for s in blocks[k][1])
 
 
 def canonical_basis_word(graph: SimplicialGraph, letters) -> BasisWord:
     """Validate a letter sequence as a basis word and canonicalize it.
 
-    Raises ValueError when the collapsed vertex word is not reduced, i.e.
-    the letters do not name a Fock basis vector.
+    Raises InvalidToken (a ValueError) when the collapsed vertex word is not
+    reduced, i.e. the letters do not name a Fock basis vector.
     """
     letters = tuple(letters)
     validate_labeled_word(graph, letters)
     blocks = _split_blocks(letters)
     collapsed = tuple(v for v, _ in blocks)
     if not is_reduced(graph, collapsed):
-        raise ValueError(
+        raise InvalidToken(
             f"letters {letters!r} collapse to a non-reduced word {collapsed!r}"
         )
-    return _join_blocks(_canonical_blocks(graph, blocks))
+    return _join_canonical(graph, blocks)
 
 
 def vacuum() -> FockState:
@@ -100,6 +87,20 @@ def inner(left: FockState, right: FockState) -> int:
     return sum(coeff * right.get(word, 0) for word, coeff in left.items())
 
 
+def _front_block(blocks: list[Block], v: str, link: frozenset[str]) -> int:
+    """Index of the block of vertex v that can move to the front, or -1.
+
+    Only the first block of v can: a later one has that block, which does
+    not commute with v, among its predecessors.
+    """
+    for idx, (u, _) in enumerate(blocks):
+        if u == v:
+            return idx
+        if u not in link:
+            break
+    return -1
+
+
 def apply_create(graph: SimplicialGraph, state: FockState, letter: Letter) -> FockState:
     """Creation: prepend the letter and slide it to its unique slot.
 
@@ -109,23 +110,16 @@ def apply_create(graph: SimplicialGraph, state: FockState, letter: Letter) -> Fo
     way the result is a single basis word with the same coefficient.
     """
     v, spin = letter
-    graph.require_vertex(v)
+    link = graph.link(v)
     out: FockState = {}
     for word, coeff in state.items():
         blocks = _split_blocks(word)
-        attach = -1
-        for idx, (u, _) in enumerate(blocks):
-            if u == v:
-                attach = idx
-                break
-            if u not in graph.link(v):
-                break
-        if attach >= 0:
-            u, spins = blocks[attach]
-            blocks[attach] = (u, (spin,) + spins)
+        idx = _front_block(blocks, v, link)
+        if idx >= 0:
+            blocks[idx] = (v, (spin,) + blocks[idx][1])
         else:
             blocks.insert(0, (v, (spin,)))
-        _accumulate(out, _join_blocks(_canonical_blocks(graph, blocks)), coeff)
+        _accumulate(out, _join_canonical(graph, blocks), coeff)
     return out
 
 
@@ -135,31 +129,22 @@ def apply_annihilate(
     """Annihilation: remove the head of the front-movable block of the vertex.
 
     A term dies when no block of the letter's vertex can be moved to the
-    front, or when the head spin differs (orthogonal spins).  At most one
-    block per vertex is ever front-movable; this is asserted.
+    front, or when the head spin differs (orthogonal spins).
     """
     v, spin = letter
-    graph.require_vertex(v)
+    link = graph.link(v)
     out: FockState = {}
     for word, coeff in state.items():
         blocks = _split_blocks(word)
-        movable = [
-            idx
-            for idx, (u, _) in enumerate(blocks)
-            if u == v and all(x in graph.link(v) for x, _ in blocks[:idx])
-        ]
-        assert len(movable) <= 1, "two front-movable blocks of one vertex"
-        if not movable:
+        idx = _front_block(blocks, v, link)
+        if idx < 0 or blocks[idx][1][0] != spin:
             continue
-        idx = movable[0]
-        u, spins = blocks[idx]
-        if spins[0] != spin:
-            continue
+        spins = blocks[idx][1]
         if len(spins) == 1:
             del blocks[idx]
         else:
-            blocks[idx] = (u, spins[1:])
-        _accumulate(out, _join_blocks(_canonical_blocks(graph, blocks)), coeff)
+            blocks[idx] = (v, spins[1:])
+        _accumulate(out, _join_canonical(graph, blocks), coeff)
     return out
 
 

@@ -28,7 +28,9 @@ class SimplicialGraph:
 
     vertices: tuple[str, ...]
     edges: frozenset[tuple[str, str]]
-    _adjacency: dict[str, frozenset[str]] = field(
+    # Unchecked link lookup, for callers that validated their vertices at
+    # their entry point; ``link`` is the checked form.
+    adjacency: dict[str, frozenset[str]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -38,23 +40,23 @@ class SimplicialGraph:
             adjacency[v].add(w)
             adjacency[w].add(v)
         object.__setattr__(
-            self, "_adjacency", {v: frozenset(ns) for v, ns in adjacency.items()}
+            self, "adjacency", {v: frozenset(ns) for v, ns in adjacency.items()}
         )
 
     def require_vertex(self, v: str) -> None:
-        if v not in self._adjacency:
+        if v not in self.adjacency:
             raise UnknownVertex(f"vertex {v!r} is not in the graph")
 
     def is_edge(self, v: str, w: str) -> bool:
         """True iff {v, w} is an edge; always false for v == w."""
         self.require_vertex(v)
         self.require_vertex(w)
-        return w in self._adjacency[v]
+        return w in self.adjacency[v]
 
     def link(self, v: str) -> frozenset[str]:
         """Neighbors of v."""
         self.require_vertex(v)
-        return self._adjacency[v]
+        return self.adjacency[v]
 
     def star(self, v: str) -> frozenset[str]:
         """Neighbors of v together with v itself."""
@@ -77,6 +79,8 @@ def build_graph(
     closure is taken silently.  Vertex order in the input is ignored: the
     stored order is lexicographic.
     """
+    if not isinstance(vertices, (list, tuple)) or not isinstance(edges, (list, tuple)):
+        raise InvalidToken("vertices and edges must be lists")
     seen: set[str] = set()
     for v in vertices:
         if not isinstance(v, str) or not _TOKEN.match(v):
@@ -86,11 +90,13 @@ def build_graph(
         seen.add(v)
     canonical_edges: set[tuple[str, str]] = set()
     for pair in edges:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise InvalidToken(f"edge {pair!r} is not a pair of vertices")
         v, w = pair
         if v == w:
             raise LoopEdge(f"loop edge on vertex {v!r}")
         for x in (v, w):
-            if x not in seen:
+            if not isinstance(x, str) or x not in seen:
                 raise UnknownVertex(f"edge endpoint {x!r} is not a declared vertex")
         canonical_edges.add((min(v, w), max(v, w)))
     return SimplicialGraph(tuple(sorted(seen)), frozenset(canonical_edges))
@@ -99,7 +105,10 @@ def build_graph(
 def graph_from_json(doc: dict | str) -> SimplicialGraph:
     """Parse ``{"vertices": [...], "edges": [[v, w], ...]}``."""
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except RecursionError as exc:
+            raise InvalidToken("graph document nests too deeply") from exc
     if not isinstance(doc, dict) or "vertices" not in doc:
         raise InvalidToken("graph document must be an object with a 'vertices' key")
     return build_graph(doc["vertices"], doc.get("edges", []))
@@ -107,4 +116,4 @@ def graph_from_json(doc: dict | str) -> SimplicialGraph:
 
 def load_graph(path: str) -> SimplicialGraph:
     with open(path, encoding="utf-8") as fh:
-        return graph_from_json(json.load(fh))
+        return graph_from_json(fh.read())

@@ -165,6 +165,31 @@ def enumerate_pairings(
     return results
 
 
+def crossings(
+    graph: SimplicialGraph, vertices, blocks
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Crossings and graph crossings of a pairing, as 0-based block pairs.
+
+    The one crossing kernel, unchecked: ``blocks`` must be sorted by opener
+    (1-based positions) and ``vertices[p - 1]`` must be the graph vertex at
+    position p.  Blocks k < l cross when e_k < e_l < z_k < z_l; the crossing
+    is a graph crossing when the two opener vertices are not adjacent.
+    """
+    adjacency = graph.adjacency
+    all_pairs, graph_pairs = [], []
+    for k, (ek, zk) in enumerate(blocks):
+        link = adjacency[vertices[ek - 1]]
+        for l in range(k + 1, len(blocks)):
+            el, zl = blocks[l]
+            if el > zk:
+                break
+            if zk < zl:
+                all_pairs.append((k, l))
+                if vertices[el - 1] not in link:
+                    graph_pairs.append((k, l))
+    return all_pairs, graph_pairs
+
+
 def gamma_crossing_pairs(
     graph: SimplicialGraph,
     word: LabeledWord,
@@ -177,19 +202,9 @@ def gamma_crossing_pairs(
     opener vertices are not adjacent.
     """
     validate_labeled_word(graph, word)
-    PairPartition.from_pairs(partition.pairs, len(word))
-    blocks = partition.pairs
-    crossings: set[tuple[int, int]] = set()
-    graph_crossings: set[tuple[int, int]] = set()
-    for k in range(len(blocks)):
-        ek, zk = blocks[k]
-        for l in range(k + 1, len(blocks)):
-            el, zl = blocks[l]
-            if ek < el < zk < zl:
-                crossings.add((k + 1, l + 1))
-                if not graph.is_edge(word[ek - 1][0], word[el - 1][0]):
-                    graph_crossings.add((k + 1, l + 1))
-    return crossings, graph_crossings
+    blocks = PairPartition.from_pairs(partition.pairs, len(word)).pairs
+    found = crossings(graph, [v for v, _ in word], blocks)
+    return tuple({(k + 1, l + 1) for k, l in pairs} for pairs in found)
 
 
 def count_gamma_admissible(
@@ -199,10 +214,10 @@ def count_gamma_admissible(
     max_len: int = DEFAULT_MAX_WORD_LEN,
 ) -> int:
     """Number of pairings without graph crossings; 0 for odd length."""
+    vertices = [v for v, _ in word]
     total = 0
     for partition in enumerate_pairings(graph, word, match, max_len):
-        _, graph_crossings = gamma_crossing_pairs(graph, word, partition)
-        if not graph_crossings:
+        if not crossings(graph, vertices, partition.pairs)[1]:
             total += 1
     return total
 
@@ -222,9 +237,9 @@ def limit_moment(
     """
     if not -1.0 <= theta <= 1.0:
         raise DomainError(f"theta must lie in [-1, 1], got {theta}")
+    vertices = [v for v, _ in word]
     total = 0.0
     for partition in enumerate_pairings(graph, word, match, max_len):
-        _, graph_crossings = gamma_crossing_pairs(graph, word, partition)
-        exponent = len(graph_crossings)
+        exponent = len(crossings(graph, vertices, partition.pairs)[1])
         total += 1.0 if exponent == 0 else theta**exponent
     return total

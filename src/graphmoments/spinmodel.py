@@ -40,12 +40,10 @@ class SignFunction:
         self.graph = graph
 
     def __call__(self, i: int, v: str, j: int, w: str) -> int:
-        self.graph.require_vertex(v)
-        self.graph.require_vertex(w)
+        if self.graph.is_edge(v, w):  # validates both vertices
+            return 1
         if i == j and v == w:
             return -1
-        if self.graph.is_edge(v, w):
-            return 1
         if (w, j) < (v, i):
             i, v, j, w = j, w, i, v
         return self._draw(i, v, j, w)
@@ -108,15 +106,13 @@ class ExplicitSigns(SignFunction):
         for ((i, v), (j, w)), sign in table.items():
             if sign not in (1, -1):
                 raise DomainError(f"sign must be ±1, got {sign}")
-            graph.require_vertex(v)
-            graph.require_vertex(w)
+            if graph.is_edge(v, w):  # validates both vertices
+                if sign != 1:
+                    raise DomainError("entries on graph edges are fixed at +1")
+                continue
             if i == j and v == w:
                 if sign != -1:
                     raise DomainError("diagonal entries are fixed at -1")
-                continue
-            if graph.is_edge(v, w):
-                if sign != 1:
-                    raise DomainError("entries on graph edges are fixed at +1")
                 continue
             if (w, j) < (v, i):
                 i, v, j, w = j, w, i, v
@@ -136,6 +132,8 @@ class SpinAlgebra:
     """
 
     def __init__(self, signs: SignFunction, n_indices: int):
+        if n_indices < 0:
+            raise DomainError(f"index count must not be negative, got {n_indices}")
         self.signs = signs
         self.graph = signs.graph
         self.n_indices = n_indices
@@ -171,27 +169,27 @@ class SpinAlgebra:
         sign = -1 if (self._neg[r] & below).bit_count() & 1 else 1
         return sign, mask ^ (1 << r)
 
-    def apply_b(self, state: dict[int, int], r: int) -> dict[int, int]:
-        """Hopping operator: left multiplication on every term."""
+    def apply_b(
+        self, state: dict[int, int], *ranks: int, max_size: int | None = None
+    ) -> dict[int, int]:
+        """Sum of the hopping operators ``ranks`` applied to every term.
+
+        With ``max_size``, result subsets of more than ``max_size`` elements
+        are dropped, which prunes terms too large to return to the vacuum.
+        """
+        limit = len(self.universe) if max_size is None else max_size
         out: dict[int, int] = {}
         for mask, coeff in state.items():
-            sign, flipped = self.left_multiply(mask, r)
-            total = out.get(flipped, 0) + sign * coeff
-            if total:
-                out[flipped] = total
-            else:
-                out.pop(flipped, None)
+            for r in ranks:
+                sign, flipped = self.left_multiply(mask, r)
+                if flipped.bit_count() > limit:
+                    continue
+                total = out.get(flipped, 0) + sign * coeff
+                if total:
+                    out[flipped] = total
+                else:
+                    out.pop(flipped, None)
         return out
-
-    def apply_create(self, state: dict[int, int], r: int) -> dict[int, int]:
-        """Partial isometry onto larger subsets: kills terms containing r."""
-        return self.apply_b(
-            {m: c for m, c in state.items() if not m >> r & 1}, r
-        )
-
-    def apply_annihilate(self, state: dict[int, int], r: int) -> dict[int, int]:
-        """Adjoint of creation: kills terms not containing r."""
-        return self.apply_b({m: c for m, c in state.items() if m >> r & 1}, r)
 
     def vacuum_trace(self, ranks) -> int:
         """Vacuum coefficient of a product of hopping operators: -1, 0 or +1."""
@@ -241,32 +239,17 @@ def moment_s_word(
     algebra = SpinAlgebra(signs, 2 * n)
     state = {0: 1}
     for step, (v, spin) in enumerate(reversed(word), start=1):
-        remaining = length - step
         ranks = [algebra.rank(2 * i + spin - 1, v) for i in range(n)]
-        out: dict[int, int] = {}
-        for mask, coeff in state.items():
-            for r in ranks:
-                sign, flipped = algebra.left_multiply(mask, r)
-                if flipped.bit_count() > remaining:
-                    continue
-                total = out.get(flipped, 0) + sign * coeff
-                if total:
-                    out[flipped] = total
-                else:
-                    out.pop(flipped, None)
-        state = out
+        state = algebra.apply_b(state, *ranks, max_size=length - step)
     return Fraction(state.get(0, 0), n ** (length // 2))
 
 
 def sign_table(signs: SignFunction, n_indices: int) -> list[dict]:
     """Realized sign of every unordered generator pair in the universe."""
-    universe = [(i, v) for v in signs.graph.vertices for i in range(n_indices)]
-    entries = []
-    for a in range(len(universe)):
-        i, v = universe[a]
-        for b in range(a + 1, len(universe)):
-            j, w = universe[b]
-            entries.append(
-                {"i": i, "v": v, "j": j, "w": w, "sign": signs(i, v, j, w)}
-            )
-    return entries
+    algebra = SpinAlgebra(signs, n_indices)
+    universe = algebra.universe
+    return [
+        {"i": i, "v": v, "j": j, "w": w, "sign": -1 if algebra._neg[a] >> b & 1 else 1}
+        for a, (i, v) in enumerate(universe)
+        for b, (j, w) in enumerate(universe[a + 1 :], start=a + 1)
+    ]

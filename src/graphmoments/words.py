@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import (
     BudgetExceeded,
+    DomainError,
     IndexOutOfRange,
     InvalidToken,
     MoveNotApplicable,
@@ -58,21 +59,28 @@ def _validate(graph: SimplicialGraph, word: Word) -> None:
         graph.require_vertex(v)
 
 
-def is_reduced(graph: SimplicialGraph, word: Word) -> bool:
-    """True iff every pair of equal letters is separated by a non-neighbor.
+def _mergeable_pair(graph: SimplicialGraph, word) -> tuple[int, int] | None:
+    """First pair i < j of equal letters with only Link letters between.
 
-    Directly checks the defining property: for all i < j with equal letters
-    there is some i < k < j whose letter is outside Link of that letter.
+    Unchecked: the letters must be vertices of the graph.  The scan right
+    of i stops at the first letter outside Link of word[i]; an equal letter
+    is outside its own link, so the first equal letter is the only partner.
     """
-    _validate(graph, word)
-    for i in range(len(word)):
-        link = graph.link(word[i])
+    adjacency = graph.adjacency
+    for i, v in enumerate(word):
+        link = adjacency[v]
         for j in range(i + 1, len(word)):
-            if word[j] == word[i] and all(
-                word[k] in link for k in range(i + 1, j)
-            ):
-                return False
-    return True
+            if word[j] == v:
+                return i, j
+            if word[j] not in link:
+                break
+    return None
+
+
+def is_reduced(graph: SimplicialGraph, word: Word) -> bool:
+    """True iff every pair of equal letters is separated by a non-neighbor."""
+    _validate(graph, word)
+    return _mergeable_pair(graph, word) is None
 
 
 def apply_move(graph: SimplicialGraph, word: Word, move: Move) -> Word:
@@ -95,11 +103,12 @@ def apply_move(graph: SimplicialGraph, word: Word, move: Move) -> Word:
 def applicable_moves(graph: SimplicialGraph, word: Word) -> list[Move]:
     """All cancel/swap moves whose precondition holds on this word."""
     _validate(graph, word)
+    adjacency = graph.adjacency
     moves = []
     for i in range(1, len(word)):
         if word[i - 1] == word[i]:
             moves.append(Move(CANCEL, i))
-        elif graph.is_edge(word[i - 1], word[i]):
+        elif word[i] in adjacency[word[i - 1]]:
             moves.append(Move(SWAP, i))
     return moves
 
@@ -114,47 +123,40 @@ def reduce_word(graph: SimplicialGraph, word: Word) -> Word:
     """
     _validate(graph, word)
     letters = list(word)
-    changed = True
-    while changed:
-        changed = False
-        n = len(letters)
-        for i in range(n):
-            link = graph.link(letters[i])
-            for j in range(i + 1, n):
-                if letters[j] == letters[i] and all(
-                    letters[k] in link for k in range(i + 1, j)
-                ):
-                    del letters[j]
-                    changed = True
-                    break
-            if changed:
-                break
+    while (pair := _mergeable_pair(graph, letters)) is not None:
+        del letters[pair[1]]
     return tuple(letters)
 
 
-def _lex_least_in_swap_class(graph: SimplicialGraph, word: Word) -> Word:
-    # Greedy extraction of the smallest front-movable letter: the standard
-    # lexicographic normal form of a trace monoid.  On a reduced word two
-    # front-movable positions never carry the same letter (they would merge).
-    remaining = list(word)
-    out: list[str] = []
+def normal_form_order(graph: SimplicialGraph, vertices) -> list[int]:
+    """Positions of a reduced vertex sequence, in normal-form order.
+
+    Greedy extraction of the smallest front-movable letter: the standard
+    lexicographic normal form of a trace monoid, which ``fock`` uses for
+    block order too.  On a reduced sequence two front-movable positions
+    never carry the same vertex (they would merge).  Unchecked: the
+    vertices must belong to the graph.
+    """
+    adjacency = graph.adjacency
+    remaining = list(range(len(vertices)))
+    order: list[int] = []
     while remaining:
-        best = None
-        for k, v in enumerate(remaining):
-            movable = all(u in graph.link(v) for u in remaining[:k])
-            if movable:
-                if best is None or v < remaining[best]:
+        best = 0
+        for k in range(1, len(remaining)):
+            v = vertices[remaining[k]]
+            link = adjacency[v]
+            if all(vertices[q] in link for q in remaining[:k]):
+                assert v != vertices[remaining[best]], "twin front-movable letters"
+                if v < vertices[remaining[best]]:
                     best = k
-                else:
-                    assert v != remaining[best], "reduced word with twin movable letters"
-        assert best is not None
-        out.append(remaining.pop(best))
-    return tuple(out)
+        order.append(remaining.pop(best))
+    return order
 
 
 def normalize(graph: SimplicialGraph, word: Word) -> Word:
     """Canonical representative: reduce, then take the lex-least swap image."""
-    return _lex_least_in_swap_class(graph, reduce_word(graph, word))
+    reduced = reduce_word(graph, word)
+    return tuple(reduced[k] for k in normal_form_order(graph, reduced))
 
 
 def are_equivalent(graph: SimplicialGraph, w1: Word, w2: Word) -> bool:
@@ -175,7 +177,7 @@ def equivalence_class_oracle(
     independent of :func:`normalize` so it can serve as its oracle.
     """
     if max_len < len(word):
-        raise ValueError("max_len must be at least the word length")
+        raise DomainError("max_len must be at least the word length")
     _validate(graph, word)
     seen: set[Word] = {word}
     queue: deque[Word] = deque([word])

@@ -250,3 +250,47 @@ def test_fock_and_partitions_always_agree(capsys, graph_files):
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+T_ESTIMATE = ["clt", "t-estimate", "--word", "a a a a", "--pairing", "1-3,2-4"]
+VARIANCE = ["clt", "variance", "--word", "a a a a", "--pairing", "1-3,2-4"]
+SINGLE = {"vertices": ["a"], "edges": []}
+
+
+@pytest.mark.parametrize(
+    "doc, argv",
+    [
+        ({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}, ["normalize", "--word", "a"]),
+        ({"vertices": ["a", "b"], "edges": ["ab"]}, ["normalize", "--word", "a"]),
+        ({"vertices": ["a", "b"], "edges": [["a", ["b"]]]}, ["normalize", "--word", "a"]),
+        ({"vertices": ["a", "b"], "edges": 5}, ["normalize", "--word", "a"]),
+        ({"vertices": "ab", "edges": []}, ["normalize", "--word", "a"]),
+        (SINGLE, VARIANCE + ["--M-list", "4,8", "--samples", "1"]),
+        (SINGLE, VARIANCE + ["--M-list", "0,2"]),
+        (SINGLE, T_ESTIMATE + ["--N", "0"]),
+        (SINGLE, T_ESTIMATE + ["--N", "-2"]),
+        (SINGLE, ["sign-dump", "--N", "-1"]),
+        ("[" * 100000 + "]" * 100000, ["normalize", "--word", "a"]),
+    ],
+    ids=[
+        "edge-of-three",
+        "edge-as-string",
+        "edge-endpoint-list",
+        "edges-not-a-list",
+        "vertices-as-string",
+        "variance-one-sample",
+        "variance-M-zero",
+        "t-estimate-N-zero",
+        "t-estimate-N-negative",
+        "sign-dump-N-negative",
+        "graph-nested-too-deeply",
+    ],
+)
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, doc, argv):
+    path = tmp_path / "graph.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    code, out, err = run(capsys, argv + ["--graph", str(path)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("graphmoments: ")
+    assert "Traceback" not in err

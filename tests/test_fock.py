@@ -3,7 +3,7 @@ import random
 import pytest
 
 from graphmoments import build_graph, count_gamma_admissible, vacuum, vacuum_moment
-from graphmoments.errors import SizeLimit, UnknownVertex
+from graphmoments.errors import InvalidToken, SizeLimit, UnknownVertex
 from graphmoments.fock import (
     apply_annihilate,
     apply_create,
@@ -56,7 +56,7 @@ def test_annihilate_examples(single, edge2, noedge2):
 
 
 def test_canonical_basis_word_rejects_non_reduced(edge2):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidToken):  # a ValueError too
         canonical_basis_word(edge2, [("a", 1), ("b", 1), ("a", 1)])
     word = canonical_basis_word(edge2, [("b", 1), ("a", 1)])
     assert word == (("a", 1), ("b", 1))

@@ -105,6 +105,12 @@ def test_crossings_examples(edge2, noedge2):
     assert gamma_crossing_pairs(noedge2, w2, nested) == (set(), set())
 
 
+def test_crossings_number_blocks_by_sorted_openers(noedge2):
+    w = parse_labeled_word("a:1 b:1 a:1 b:1")
+    unsorted = PairPartition(((2, 4), (1, 3)))
+    assert gamma_crossing_pairs(noedge2, w, unsorted) == ({(1, 2)}, {(1, 2)})
+
+
 def test_crossing_partition_must_match_word(edge2):
     w = parse_labeled_word("a:1 b:1 a:1 b:1")
     with pytest.raises(MalformedPartition):

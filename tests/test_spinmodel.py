@@ -108,21 +108,28 @@ def test_commutation_relation(graphs):
             assert lhs == {m: sign * c for m, c in rhs.items()}
 
 
-def test_create_annihilate_adjoint(noedge2):
-    algebra = SpinAlgebra(SeededSigns(noedge2, 0.5, 13), 4)
-    size = len(algebra.universe)
+def test_apply_b_several_ranks_is_filtered_sum(graphs):
     rng = random.Random(53)
-
-    def pairing(s1, s2):
-        return sum(c * s2.get(m, 0) for m, c in s1.items())
-
-    for _ in range(200):
-        a = rng.randrange(1 << size)
-        b = rng.randrange(1 << size)
-        r = rng.randrange(size)
-        assert pairing(algebra.apply_create({a: 1}, r), {b: 1}) == pairing(
-            {a: 1}, algebra.apply_annihilate({b: 1}, r)
-        )
+    for g in graphs.values():
+        algebra = SpinAlgebra(SeededSigns(g, 0.5, 13), 4)
+        size = len(algebra.universe)
+        for _ in range(40):
+            state = {
+                rng.randrange(1 << size): rng.choice((-2, -1, 1, 3))
+                for _ in range(rng.randrange(1, 6))
+            }
+            ranks = [rng.randrange(size) for _ in range(rng.randrange(1, 5))]
+            max_size = rng.randrange(size + 1)
+            expected = {}
+            for r in ranks:
+                for mask, coeff in algebra.apply_b(state, r).items():
+                    if mask.bit_count() <= max_size:
+                        expected[mask] = expected.get(mask, 0) + coeff
+            expected = {m: c for m, c in expected.items() if c}
+            assert algebra.apply_b(state, *ranks, max_size=max_size) == expected
+            assert algebra.apply_b(state, *ranks, max_size=size) == algebra.apply_b(
+                state, *ranks
+            )
 
 
 def test_vacuum_trace_examples(noedge2):
@@ -236,3 +243,13 @@ def test_sign_table(noedge2):
     assert len(listed) == 6
     for pair in listed:
         assert pair[0] in universe and pair[1] in universe
+
+
+def test_sign_table_matches_direct_calls(graphs):
+    for g in graphs.values():
+        for seed in (0, 7, 31):
+            signs = SeededSigns(g, 0.5, seed)
+            reference = SeededSigns(g, 0.5, seed)
+            for entry in sign_table(signs, 3):
+                direct = reference(entry["i"], entry["v"], entry["j"], entry["w"])
+                assert entry["sign"] == direct, entry

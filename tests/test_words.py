@@ -17,7 +17,14 @@ from graphmoments.errors import (
     MoveNotApplicable,
     UnknownVertex,
 )
-from graphmoments.words import CANCEL, SWAP, Move, applicable_moves, apply_move
+from graphmoments.words import (
+    CANCEL,
+    SWAP,
+    Move,
+    applicable_moves,
+    apply_move,
+    reduce_word,
+)
 
 
 def random_walk(rng, graph, word, steps, max_len=10):
@@ -163,3 +170,11 @@ def test_exhaustive_oracle_agreement_four_vertices(graphs):
         by_canon.setdefault(normalize(g, w), set()).add(w)
     for w, group in by_canon.items():
         assert group == set(class_of[w]), w
+
+
+def test_is_reduced_iff_reduce_word_is_identity(graphs):
+    rng = random.Random(37)
+    for g in graphs.values():
+        for _ in range(200):
+            word = tuple(rng.choice(g.vertices) for _ in range(rng.randrange(0, 9)))
+            assert is_reduced(g, word) == (reduce_word(g, word) == word), word
