@@ -5,16 +5,20 @@ sweeps against the exact limit moments, and variance-decay measurements.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError
+from .errors import BudgetExceeded, DomainError, SizeLimit
 from .graph import SimplicialGraph
 from .partitions import LabeledWord, PairPartition, crossings, limit_moment
 from .spinmodel import DEFAULT_BUDGET, SeededSigns, SignFunction, moment_s_word
 
 Word = tuple[str, ...]
+
+# np.einsum names axes by integers below 52.
+MAX_LABELS = 52
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,13 @@ def t_estimate(
     class when paired positions share their index and no two blocks of one
     vertex do, so blocks of a common vertex get distinct indices and the
     class count is a product of falling factorials.
+
+    The sum is one exact integer contraction over the blocks that have a
+    graph crossing: each graph crossing is a factor, the sign matrix of its
+    two vertices over the indices 1..N, and each two such blocks of one
+    vertex a factor, the mask i != j.  A block with no graph crossing only
+    has to avoid the indices of its vertex's other blocks, so those blocks
+    contribute a falling factorial and allocate nothing.
     """
     for v in word:
         graph.require_vertex(v)
@@ -67,34 +78,83 @@ def t_estimate(
     r = len(pairs)
     if n**r > budget:
         raise BudgetExceeded(f"N^(n/2) = {n}^{r} exceeds the budget {budget}")
+    if n**r >= 2**63:
+        raise BudgetExceeded(f"N^(n/2) = {n}^{r} overflows the 64-bit integer sum")
     vertices = [word[e - 1] for e, _ in pairs]
     if any(word[e - 1] != word[z - 1] for e, z in pairs):
         return 0.0
+    blocks_of = Counter(vertices)
+    if max(blocks_of.values(), default=0) > n:  # more blocks than indices
+        return 0.0
     crossing_pairs = crossings(graph, word, pairs)[1]
-    same_vertex_before = [
-        [b for b in range(a) if vertices[b] == vertices[a]] for a in range(r)
+    crossed = sorted({b for pair in crossing_pairs for b in pair})
+    if len(crossed) > MAX_LABELS:
+        raise SizeLimit(
+            f"{len(crossed)} crossing blocks exceed the {MAX_LABELS} labels"
+            " of one contraction"
+        )
+    label = {b: k for k, b in enumerate(crossed)}
+    indices = range(1, n + 1)
+    matrices: dict[tuple[str, str], np.ndarray] = {}
+    factors: dict[tuple[int, int], np.ndarray] = {}
+    for k, l in crossing_pairs:
+        # orient the factor so that it reads the one matrix of its vertex pair
+        if vertices[l] < vertices[k]:
+            k, l = l, k
+        key = (vertices[k], vertices[l])
+        if key not in matrices:
+            matrices[key] = signs.matrix(*key, indices)
+        factors[k, l] = matrices[key]
+    same_vertex = [
+        (k, l) for a, k in enumerate(crossed) for l in crossed[a + 1 :]
+        if vertices[k] == vertices[l]
     ]
-    indices = [0] * r
-    total = 0
-
-    def recurse(a: int) -> None:
-        nonlocal total
-        if a == r:
-            product = 1
-            for k, l in crossing_pairs:
-                product *= signs(indices[k], vertices[k], indices[l], vertices[l])
-            total += product
-            return
-        for i in range(1, n + 1):
-            if any(indices[b] == i for b in same_vertex_before[a]):
-                continue
-            indices[a] = i
-            recurse(a + 1)
-
-    recurse(0)
+    if same_vertex:
+        distinct = 1 - np.eye(n, dtype=np.int8)
+        for key in same_vertex:
+            factors[key] = factors[key] * distinct if key in factors else distinct
+    total = _sum_of_products(
+        [(factor, [label[k], label[l]]) for (k, l), factor in factors.items()]
+    )
+    crossed_of = Counter(vertices[b] for b in crossed)
+    for v, count in blocks_of.items():
+        for k in range(crossed_of[v], count):
+            total *= n - k
     estimate = total / n**r
     assert -1.0 <= estimate <= 1.0
     return estimate
+
+
+def _sum_of_products(factors: list[tuple[np.ndarray, list[int]]]) -> int:
+    """Exact sum, over every value of every label, of a product of factors.
+
+    Each factor is a tensor with one axis per label it lists.  Labels are
+    eliminated one at a time, each time the one that shares factors with
+    the fewest other labels: the factors carrying it are contracted into
+    one int64 tensor over those other labels, and it is summed out.  So
+    every tensor made has fewer axes than there are labels.
+    """
+    total = 1
+    while factors:
+
+        def others(x):
+            return {a for _, axes in factors if x in axes for a in axes} - {x}
+
+        x = min({a for _, axes in factors for a in axes}, key=lambda a: len(others(a)))
+        out = sorted(others(x))
+        operands, rest = [], []
+        for factor, axes in factors:
+            if x in axes:
+                operands += [factor, axes]
+            else:
+                rest.append((factor, axes))
+        tensor = np.einsum(*operands, out, dtype=np.int64)
+        if out:
+            rest.append((tensor, out))
+        else:
+            total *= int(tensor)
+        factors = rest
+    return total
 
 
 def convergence_sweep(

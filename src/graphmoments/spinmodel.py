@@ -18,6 +18,8 @@ import hashlib
 import struct
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BudgetExceeded, DomainError, OddN
 from .graph import SimplicialGraph
 from .partitions import LabeledWord, validate_labeled_word
@@ -48,6 +50,27 @@ class SignFunction:
             i, v, j, w = j, w, i, v
         return self._draw(i, v, j, w)
 
+    def matrix(self, v: str, w: str, indices) -> np.ndarray:
+        """Signs between the ``indices`` of vertex v and those of vertex w.
+
+        Returns the int8 matrix ``S[a, b] = self(indices[a], v, indices[b], w)``.
+        Each unordered generator pair is drawn once through ``self``: for
+        ``v == w`` the strict upper triangle is drawn and mirrored, and the
+        swapped orientation is the transpose of the canonical one.
+        """
+        if w < v:
+            return self.matrix(w, v, indices).T
+        indices = list(indices)
+        n = len(indices)
+        if v != w:
+            rows = [[self(i, v, j, w) for j in indices] for i in indices]
+            return np.array(rows, dtype=np.int8).reshape(n, n)
+        upper = np.zeros((n, n), dtype=np.int8)
+        upper[np.triu_indices(n, 1)] = [
+            self(i, v, j, v) for a, i in enumerate(indices) for j in indices[a + 1 :]
+        ]
+        return upper + upper.T - np.eye(n, dtype=np.int8)  # a label against itself: -1
+
     def _draw(self, i: int, v: str, j: int, w: str) -> int:
         raise NotImplementedError
 
@@ -63,8 +86,9 @@ class SeededSigns(SignFunction):
     """Counter-based random signs: +1 with probability p, independently.
 
     The value of a pair is a keyed 64-bit hash of its canonical encoding,
-    so it is reproducible, independent of query order, and never requires
-    storing the realized matrix.
+    so it is reproducible and independent of query order.  Nothing is
+    stored: a pair queried twice is hashed twice, and every consumer in
+    this package draws each pair at most once per call.
     """
 
     def __init__(self, graph: SimplicialGraph, p: float = 0.5, seed: int = 0):
@@ -75,18 +99,12 @@ class SeededSigns(SignFunction):
         self.seed = seed
         self._key = struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
         self._threshold = int(p * 2.0**64)
-        self._cache: dict[tuple[int, str, int, str], int] = {}
 
     def _draw(self, i, v, j, w):
-        pair = (i, v, j, w)
-        sign = self._cache.get(pair)
-        if sign is None:
-            digest = hashlib.blake2b(
-                f"{v}:{i}|{w}:{j}".encode(), digest_size=8, key=self._key
-            ).digest()
-            sign = 1 if int.from_bytes(digest, "big") < self._threshold else -1
-            self._cache[pair] = sign
-        return sign
+        digest = hashlib.blake2b(
+            f"{v}:{i}|{w}:{j}".encode(), digest_size=8, key=self._key
+        ).digest()
+        return 1 if int.from_bytes(digest, "big") < self._threshold else -1
 
 
 class ExplicitSigns(SignFunction):
@@ -127,29 +145,38 @@ class SpinAlgebra:
 
     The universe is ``{0, ..., n_indices - 1} x vertices`` in the linear
     order (vertex lexicographic, then index); subsets of it are stored as
-    bit masks over that order.  Sign rows against all smaller slots are
-    precomputed, so a left multiplication is one popcount.
+    bit masks over that order.  ``vertices`` defaults to every vertex of
+    the graph; a caller that only ever occupies the slots of some vertices
+    may restrict the universe to them, which leaves every product among
+    those slots unchanged.  Sign rows against all smaller slots are built
+    from one sign matrix per vertex pair, so a left multiplication is one
+    popcount.
     """
 
-    def __init__(self, signs: SignFunction, n_indices: int):
+    def __init__(self, signs: SignFunction, n_indices: int, vertices=None):
         if n_indices < 0:
             raise DomainError(f"index count must not be negative, got {n_indices}")
         self.signs = signs
         self.graph = signs.graph
         self.n_indices = n_indices
+        if vertices is None:
+            vertices = self.graph.vertices
+        self.vertices = tuple(sorted(vertices))
         self.universe: list[GeneratorIndex] = [
-            (i, v) for v in self.graph.vertices for i in range(n_indices)
+            (i, v) for v in self.vertices for i in range(n_indices)
         ]
         self._rank = {gi: r for r, gi in enumerate(self.universe)}
-        size = len(self.universe)
-        neg = [0] * size
-        for r in range(size):
-            i, v = self.universe[r]
-            for r2 in range(r):
-                j, w = self.universe[r2]
-                if signs(i, v, j, w) < 0:
-                    neg[r] |= 1 << r2
-                    neg[r2] |= 1 << r
+        neg = [0] * len(self.universe)
+        for p, v in enumerate(self.vertices):
+            for q in range(p, len(self.vertices)):
+                block = signs.matrix(v, self.vertices[q], range(n_indices)).tolist()
+                for a, row in enumerate(block):
+                    ra = p * n_indices + a
+                    for b in range(a + 1 if p == q else 0, n_indices):
+                        if row[b] < 0:
+                            rb = q * n_indices + b
+                            neg[ra] |= 1 << rb
+                            neg[rb] |= 1 << ra
         self._neg = neg
 
     def rank(self, i: int, v: str) -> int:
@@ -226,7 +253,8 @@ def moment_s_word(
     1/sqrt(N); the trace of a length-n product is therefore an integer
     over N^(n/2).  Operators are applied to the vacuum as sparse vectors,
     pruning subsets too large to empty out in the remaining steps; the
-    raw count N^n must stay within the budget.
+    raw count N^n must stay within the budget.  The algebra spans only the
+    word's vertices, the only ones whose slots are ever occupied.
     """
     graph = signs.graph
     validate_labeled_word(graph, word)
@@ -236,7 +264,7 @@ def moment_s_word(
         raise BudgetExceeded(f"N^n = {n}^{length} exceeds the budget {budget}")
     if length % 2:
         return Fraction(0)
-    algebra = SpinAlgebra(signs, 2 * n)
+    algebra = SpinAlgebra(signs, 2 * n, {v for v, _ in word})
     state = {0: 1}
     for step, (v, spin) in enumerate(reversed(word), start=1):
         ranks = [algebra.rank(2 * i + spin - 1, v) for i in range(n)]

@@ -228,6 +228,16 @@ def test_budget_exceeded_exits_3(capsys, graph_files):
         ],
     )
     assert code == 3
+    # (2^21)^3 = 2^63 index tuples would overflow the 64-bit sum
+    code, _, err = run(
+        capsys,
+        [
+            "clt", "t-estimate", "--graph", graph_files["single"],
+            "--word", "a a a a a a", "--pairing", "1-4,2-5,3-6",
+            "--N", str(2**21), "--max-iterations", str(10**30),
+        ],
+    )
+    assert code == 3 and "overflows" in err
 
 
 def test_fock_and_partitions_always_agree(capsys, graph_files):

@@ -60,6 +60,16 @@ def test_t_estimate_against_counting_oracle():
             assert got == pytest.approx(expected), (word, text, n)
 
 
+def test_t_estimate_blocks_without_crossings_allocate_nothing(single):
+    # no factor needs an N x N matrix, so a huge N answers at once
+    n = 10**7
+    one = PairPartition.parse("1-2", 2)
+    assert t_estimate(ConstantSigns(single), single, ("a", "a"), one, n) == 1.0
+    nested = PairPartition.parse("1-4,2-3", 4)
+    value = t_estimate(ConstantSigns(single), single, ("a",) * 4, nested, n, budget=n**2)
+    assert value == (n - 1) / n
+
+
 def test_t_estimate_mismatched_pairing_has_empty_class(edge2):
     word = ("a", "b", "b", "a")
     pairing = PairPartition.parse("1-3,2-4", 4)

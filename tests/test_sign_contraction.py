@@ -1,0 +1,134 @@
+"""Differential tests of the sign matrices and the t-estimate contraction
+against direct sign queries and a brute-force sum over index tuples."""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from graphmoments import (
+    ConstantSigns,
+    ExplicitSigns,
+    PairPartition,
+    SeededSigns,
+    build_graph,
+    t_estimate,
+)
+
+# Derandomized, so every run replays the same examples bit for bit.
+REPLAY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+@st.composite
+def small_graphs(draw):
+    vertices = "abcd"[: draw(st.integers(1, 4))]
+    edges = [e for e in itertools.combinations(vertices, 2) if draw(st.booleans())]
+    return build_graph(list(vertices), edges)
+
+
+@st.composite
+def sign_functions(draw, graph, n):
+    kind = draw(st.sampled_from(["constant", "seeded", "explicit"]))
+    if kind == "constant":
+        return ConstantSigns(graph)
+    if kind == "seeded":
+        p = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+        return SeededSigns(graph, p, draw(st.integers(0, 1000)))
+    labels = st.tuples(st.integers(0, n + 1), st.sampled_from(graph.vertices))
+    table = {}
+    for x, y in draw(st.lists(st.tuples(labels, labels), max_size=8)):
+        if not graph.is_edge(x[1], y[1]) and x != y:
+            table[x, y] = draw(st.sampled_from([1, -1]))
+    return ExplicitSigns(graph, table, draw(st.sampled_from([1, -1])))
+
+
+class CountingSigns(SeededSigns):
+    """Seeded signs that record every query made through ``__call__``."""
+
+    def __init__(self, graph):
+        super().__init__(graph, 0.5, 7)
+        self.queries = []
+
+    def __call__(self, i, v, j, w):
+        self.queries.append((i, v, j, w))
+        return super().__call__(i, v, j, w)
+
+
+@REPLAY
+@given(st.data())
+def test_sign_matrix_equals_calls(data):
+    graph = data.draw(small_graphs())
+    signs = data.draw(sign_functions(graph, 5))
+    v = data.draw(st.sampled_from(graph.vertices))
+    w = data.draw(st.sampled_from(graph.vertices))
+    indices = data.draw(st.lists(st.integers(0, 6), max_size=6))
+    matrix = signs.matrix(v, w, indices)
+    assert matrix.shape == (len(indices), len(indices))
+    for a, i in enumerate(indices):
+        for b, j in enumerate(indices):
+            assert matrix[a, b] == signs(i, v, j, w), (i, v, j, w)
+
+
+def test_sign_matrix_draws_each_pair_once():
+    graph = build_graph(["a", "b", "c"], [("a", "c")])
+    for v, w, expected in (("a", "b", 16), ("b", "a", 16), ("b", "b", 6), ("a", "c", 16)):
+        signs = CountingSigns(graph)
+        signs.matrix(v, w, range(4))
+        canonical = {(i, x, j, y) if (x, i) <= (y, j) else (j, y, i, x)
+                     for i, x, j, y in signs.queries}
+        assert len(signs.queries) == len(canonical) == expected, (v, w)
+
+
+def test_t_estimate_draws_each_pair_once():
+    # the a-b crossing of blocks 1, 2 and the b-a crossing of blocks 3, 4
+    # share one sign matrix
+    graph = build_graph(["a", "b"])
+    word = tuple("abab" "baba")
+    partition = PairPartition.parse("1-3,2-4,5-7,6-8", 8)
+    signs = CountingSigns(graph)
+    t_estimate(signs, graph, word, partition, 5)
+    assert len(signs.queries) == len(set(signs.queries)) == 25
+
+
+def brute_force_t(signs, graph, word, pairs, n):
+    """The defining sum over index tuples, with its own crossing scan."""
+    r = len(pairs)
+    vertices = [word[e - 1] for e, _ in pairs]
+    if any(word[e - 1] != word[z - 1] for e, z in pairs):
+        return 0.0
+    graph_crossings = [
+        (k, l)
+        for k, l in itertools.combinations(range(r), 2)
+        if pairs[k][0] < pairs[l][0] < pairs[k][1] < pairs[l][1]
+        and not graph.is_edge(vertices[k], vertices[l])
+    ]
+    total = 0
+    for idx in itertools.product(range(1, n + 1), repeat=r):
+        if any(
+            idx[a] == idx[b] and vertices[a] == vertices[b]
+            for a, b in itertools.combinations(range(r), 2)
+        ):
+            continue
+        product = 1
+        for k, l in graph_crossings:
+            product *= signs(idx[k], vertices[k], idx[l], vertices[l])
+        total += product
+    return total / n**r
+
+
+@REPLAY
+@given(st.data())
+def test_t_estimate_equals_brute_force(data):
+    graph = data.draw(small_graphs())
+    r = data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(1, 5))
+    positions = data.draw(st.permutations(range(1, 2 * r + 1)))
+    pairs = [tuple(positions[2 * b : 2 * b + 2]) for b in range(r)]
+    word = [None] * (2 * r)
+    for e, z in pairs:
+        word[e - 1] = data.draw(st.sampled_from(graph.vertices))
+        word[z - 1] = data.draw(st.sampled_from([word[e - 1], *graph.vertices]))
+    partition = PairPartition.from_pairs(pairs, 2 * r)
+    signs = data.draw(sign_functions(graph, n))
+    expected = brute_force_t(signs, graph, tuple(word), partition.pairs, n)
+    assert t_estimate(signs, graph, tuple(word), partition, n) == expected

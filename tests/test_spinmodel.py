@@ -253,3 +253,28 @@ def test_sign_table_matches_direct_calls(graphs):
             for entry in sign_table(signs, 3):
                 direct = reference(entry["i"], entry["v"], entry["j"], entry["w"])
                 assert entry["sign"] == direct, entry
+
+
+def test_universe_restricted_to_word_vertices_matches_full(graphs):
+    g = graphs["random5"]
+    pair = ("p", "s")  # not adjacent, with q and r between them
+    rng = random.Random(79)
+    for seed in (0, 5, 17):
+        signs = SeededSigns(g, 0.5, seed)
+        full = SpinAlgebra(signs, 4)
+        small = SpinAlgebra(signs, 4, pair)
+        assert len(small.universe) == 8
+        for _ in range(100):
+            length = rng.randrange(2, 9)
+            labels = [(rng.randrange(4), rng.choice(pair)) for _ in range(length)]
+            assert small.vacuum_trace_labels(labels) == full.vacuum_trace_labels(labels)
+        for n, length in ((2, 6), (4, 4)):
+            rest = [(rng.choice(pair), rng.choice((1, 2))) for _ in range(length - 2)]
+            word = (("p", 1), ("s", 1), *rest)
+            algebra = SpinAlgebra(signs, 2 * n)
+            state = {0: 1}
+            for v, spin in reversed(word):
+                ranks = [algebra.rank(2 * i + spin - 1, v) for i in range(n)]
+                state = algebra.apply_b(state, *ranks)
+            expected = Fraction(state.get(0, 0), n ** (length // 2))
+            assert moment_s_word(signs, word, n) == expected, word
