@@ -16,6 +16,7 @@ from .graph import SimplicialGraph, build_graph, graph_from_json, load_graph
 from .partitions import (
     PairPartition,
     count_gamma_admissible,
+    crossing_polynomial,
     enumerate_pairings,
     format_labeled_word,
     gamma_crossing_pairs,
@@ -58,6 +59,7 @@ __all__ = [
     "format_labeled_word",
     "enumerate_pairings",
     "gamma_crossing_pairs",
+    "crossing_polynomial",
     "count_gamma_admissible",
     "limit_moment",
     "vacuum",

@@ -69,12 +69,15 @@ def _cmd_equivalent(graph: SimplicialGraph, args) -> None:
 
 def _cmd_partitions(graph: SimplicialGraph, args) -> None:
     word = partitions.parse_labeled_word(args.word)
-    pairings = partitions.enumerate_pairings(
-        graph, word, args.match, args.max_word_len
-    )
     if args.what == "count":
-        _emit(args, str(len(pairings)), {"count": len(pairings)})
+        count = sum(
+            partitions.crossing_polynomial(graph, word, args.match, args.max_word_len)
+        )
+        _emit(args, str(count), {"count": count})
     else:
+        pairings = partitions.enumerate_pairings(
+            graph, word, args.match, args.max_word_len
+        )
         human = "\n".join(str(p) for p in pairings)
         _emit(args, human, {"pairings": [[list(pair) for pair in p.pairs] for p in pairings]})
 
@@ -90,6 +93,7 @@ def _cmd_moment(graph: SimplicialGraph, args) -> None:
         value = fock.vacuum_moment(graph, word, args.max_word_len)
         payload = {"value": value}
     else:
+        partitions.validate_labeled_word(graph, word, args.max_word_len)
         signs = _signs_from_args(graph, args)
         value = spinmodel.moment_s_word(signs, word, args.N, args.max_iterations)
         payload = {
@@ -109,7 +113,13 @@ def _cmd_limit(graph: SimplicialGraph, args) -> None:
 def _cmd_compare(graph: SimplicialGraph, args) -> None:
     word = partitions.parse_labeled_word(args.word)
     rows = cltlab.convergence_sweep(
-        graph, word, args.N_list, args.seeds, args.p, args.max_iterations
+        graph,
+        word,
+        args.N_list,
+        args.seeds,
+        args.p,
+        args.max_iterations,
+        args.max_word_len,
     )
     sys.stdout.write(cltlab.convergence_csv(rows))
 
@@ -155,11 +165,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--graph", required=True, help="path to a graph JSON file")
     common.add_argument("--output", choices=["human", "json"], default="human")
 
-    budgets = _Parser(add_help=False)
-    budgets.add_argument(
+    word_len = _Parser(add_help=False)
+    word_len.add_argument(
         "--max-word-len", type=int, default=partitions.DEFAULT_MAX_WORD_LEN
     )
-    budgets.add_argument("--max-iterations", type=int, default=spinmodel.DEFAULT_BUDGET)
+    iterations = _Parser(add_help=False)
+    iterations.add_argument(
+        "--max-iterations", type=int, default=spinmodel.DEFAULT_BUDGET
+    )
 
     parser = _Parser(
         prog="graphmoments",
@@ -181,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_equivalent)
 
     p = sub.add_parser(
-        "partitions", parents=[common, budgets], help="matching pairings of a labeled word"
+        "partitions", parents=[common, word_len], help="matching pairings of a labeled word"
     )
     p.add_argument("what", choices=["count", "list"])
     p.add_argument("--word", required=True)
@@ -189,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_partitions)
 
     p = sub.add_parser(
-        "moment", parents=[common, budgets], help="vacuum moment of a labeled word"
+        "moment",
+        parents=[common, word_len, iterations],
+        help="vacuum moment of a labeled word",
     )
     p.add_argument("--method", choices=["partitions", "fock", "matrix"], required=True)
     p.add_argument("--word", required=True)
@@ -200,14 +215,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signs", choices=["seeded", "constant"], default="seeded")
     p.set_defaults(func=_cmd_moment)
 
-    p = sub.add_parser("limit", parents=[common, budgets], help="limit moment at a sign bias")
+    p = sub.add_parser("limit", parents=[common, word_len], help="limit moment at a sign bias")
     p.add_argument("--word", required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--match", choices=["label", "vertex"], default="label")
     p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser(
-        "compare", parents=[common, budgets], help="convergence sweep CSV over N and seeds"
+        "compare",
+        parents=[common, word_len, iterations],
+        help="convergence sweep CSV over N and seeds",
     )
     p.add_argument("--word", required=True)
     p.add_argument("--N-list", dest="N_list", type=_int_list, required=True)
@@ -220,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = clt.add_parser(
-        "t-estimate", parents=[common, budgets], help="finite-N weight of one pairing"
+        "t-estimate", parents=[common, iterations], help="finite-N weight of one pairing"
     )
     p.add_argument("--word", required=True, help="plain vertex word, e.g. 'a a a a'")
     p.add_argument("--pairing", required=True, help="e.g. '1-3,2-4'")
@@ -231,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_t_estimate)
 
     p = clt.add_parser(
-        "variance", parents=[common, budgets], help="variance decay CSV over M"
+        "variance", parents=[common, iterations], help="variance decay CSV over M"
     )
     p.add_argument("--word", required=True)
     p.add_argument("--pairing", required=True)

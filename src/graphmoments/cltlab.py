@@ -12,7 +12,13 @@ import numpy as np
 
 from .errors import BudgetExceeded, DomainError, SizeLimit
 from .graph import SimplicialGraph
-from .partitions import LabeledWord, PairPartition, crossings, limit_moment
+from .partitions import (
+    DEFAULT_MAX_WORD_LEN,
+    LabeledWord,
+    PairPartition,
+    crossings,
+    limit_moment,
+)
 from .spinmodel import DEFAULT_BUDGET, SeededSigns, SignFunction, moment_s_word
 
 Word = tuple[str, ...]
@@ -164,6 +170,7 @@ def convergence_sweep(
     seeds,
     p: float = 0.5,
     budget: int = DEFAULT_BUDGET,
+    max_len: int = DEFAULT_MAX_WORD_LEN,
 ) -> list[SweepRow]:
     """Matrix-model moments against the exact limit, one row per (N, seed).
 
@@ -171,7 +178,7 @@ def convergence_sweep(
     graph crossings; the matrix model provably converges to it at
     p = 1/2, for other p the column is the conjectured target.
     """
-    exact = limit_moment(graph, word, 2.0 * p - 1.0)
+    exact = limit_moment(graph, word, 2.0 * p - 1.0, max_len=max_len)
     rows = []
     for n in n_list:
         for seed in seeds:

@@ -13,7 +13,9 @@ mapping canonical words to integers and the whole module is float-free.
 
 from __future__ import annotations
 
-from .errors import InvalidToken, SizeLimit
+from collections import Counter
+
+from .errors import InvalidToken
 from .graph import SimplicialGraph
 from .partitions import (
     DEFAULT_MAX_WORD_LEN,
@@ -101,18 +103,29 @@ def _front_block(blocks: list[Block], v: str, link: frozenset[str]) -> int:
     return -1
 
 
-def apply_create(graph: SimplicialGraph, state: FockState, letter: Letter) -> FockState:
+def apply_create(
+    graph: SimplicialGraph,
+    state: FockState,
+    letter: Letter,
+    *,
+    max_letters: int | None = None,
+) -> FockState:
     """Creation: prepend the letter and slide it to its unique slot.
 
     The letter joins the head of the first block of its vertex whose
     predecessors all commute with it; if a non-commuting block appears
     first (or no such block exists) it forms a new front block.  Either
     way the result is a single basis word with the same coefficient.
+
+    With ``max_letters``, words that would hold more than ``max_letters``
+    letters equal to ``letter`` are dropped before they are built.
     """
     v, spin = letter
     link = graph.link(v)
     out: FockState = {}
     for word, coeff in state.items():
+        if max_letters is not None and word.count(letter) >= max_letters:
+            continue
         blocks = _split_blocks(word)
         idx = _front_block(blocks, v, link)
         if idx >= 0:
@@ -148,11 +161,22 @@ def apply_annihilate(
     return out
 
 
-def apply_field(graph: SimplicialGraph, state: FockState, letter: Letter) -> FockState:
-    """The self-adjoint field operator: creation plus annihilation."""
-    out = apply_create(graph, state, letter)
+def apply_field(
+    graph: SimplicialGraph,
+    state: FockState,
+    letter: Letter,
+    *,
+    max_letters: int | None = None,
+) -> FockState:
+    """The self-adjoint field operator: creation plus annihilation.
+
+    With ``max_letters``, result words holding more than ``max_letters``
+    letters equal to ``letter`` are dropped, as in ``apply_create``.
+    """
+    out = apply_create(graph, state, letter, max_letters=max_letters)
     for word, coeff in apply_annihilate(graph, state, letter).items():
-        _accumulate(out, word, coeff)
+        if max_letters is None or word.count(letter) <= max_letters:
+            _accumulate(out, word, coeff)
     return out
 
 
@@ -165,11 +189,16 @@ def vacuum_moment(
 
     Applies the field operators right to left to the vacuum and reads off
     the vacuum coefficient.  Exact integer; zero for odd length.
+
+    Only annihilation removes a letter, one per operator of its label, so
+    a word holding more letters of a label than operators of that label
+    remain cannot return to the vacuum; such words are never created.
     """
-    validate_labeled_word(graph, word)
-    if len(word) > max_len:
-        raise SizeLimit(f"word length {len(word)} exceeds the cap {max_len}")
+    validate_labeled_word(graph, word, max_len)
+    letters = [(v, s) for v, s in word]
+    remaining = Counter(letters)
     state = vacuum()
-    for letter in reversed(word):
-        state = apply_field(graph, state, letter)
+    for letter in reversed(letters):
+        remaining[letter] -= 1
+        state = apply_field(graph, state, letter, max_letters=remaining[letter])
     return state.get((), 0)

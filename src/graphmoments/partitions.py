@@ -6,11 +6,14 @@ pairing splits into all crossings and the graph crossings, those whose
 opener vertices are not adjacent.  Counting pairings without graph
 crossings gives the exact vacuum moment, and weighting each pairing by
 theta to the number of graph crossings gives the limit moment of the
-random-sign matrix models.
+random-sign matrix models.  Both read one polynomial, the number of
+pairings by graph crossings, which a transfer DP computes without
+building a single pairing.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (
@@ -53,11 +56,16 @@ def format_labeled_word(word: LabeledWord) -> str:
     return " ".join(f"{v}:{s}" for v, s in word)
 
 
-def validate_labeled_word(graph: SimplicialGraph, word: LabeledWord) -> None:
+def validate_labeled_word(
+    graph: SimplicialGraph, word: LabeledWord, max_len: int | None = None
+) -> None:
+    """Check every letter, then the length against ``max_len`` if given."""
     for v, s in word:
         graph.require_vertex(v)
         if s not in SPINS:
             raise InvalidToken(f"spin must be 1 or 2, got {s!r}")
+    if max_len is not None and len(word) > max_len:
+        raise SizeLimit(f"word length {len(word)} exceeds the cap {max_len}")
 
 
 @dataclass(frozen=True)
@@ -131,12 +139,11 @@ def enumerate_pairings(
     Under ``match="label"`` paired positions must agree in vertex and spin
     (the inner products of the Fock model vanish otherwise); under
     ``match="vertex"`` only the vertex must agree.  Odd-length words have
-    no pairings.
+    no pairings.  This is the reference that ``crossing_polynomial`` is
+    tested against; the counts never enumerate.
     """
-    validate_labeled_word(graph, word)
+    validate_labeled_word(graph, word, max_len)
     n = len(word)
-    if n > max_len:
-        raise SizeLimit(f"word length {n} exceeds the cap {max_len}")
     if n % 2:
         return []
     keys = [_match_key(letter, match) for letter in word]
@@ -207,6 +214,63 @@ def gamma_crossing_pairs(
     return tuple({(k + 1, l + 1) for k, l in pairs} for pairs in found)
 
 
+def crossing_polynomial(
+    graph: SimplicialGraph,
+    word: LabeledWord,
+    match: str = MATCH_LABEL,
+    max_len: int = DEFAULT_MAX_WORD_LEN,
+) -> list[int]:
+    """Pairings counted by graph crossings: ``c[k]`` have exactly k of them.
+
+    A transfer DP over positions, left to right.  Its state is the tuple of
+    open arcs in opening order, each named by its match key alone, so
+    pairings that leave the same labels open merge.  At each position an
+    open arc of the same key closes, or a new arc opens if enough letters
+    of its key lie ahead to close every open arc of that key.  Closing arc
+    k adds one graph crossing per arc opened after it and still open whose
+    vertex is not adjacent to k's.  Every state reached completes, and each
+    pairing is one path.  The list is never empty: ``[0]`` when the word
+    has no pairing.
+    """
+    validate_labeled_word(graph, word, max_len)
+    if len(word) % 2:
+        return [0]
+    keys = [_match_key((v, s), match) for v, s in word]
+    vertex_of = {key: v for key, (v, _) in zip(keys, word)}
+    ahead = Counter(keys)
+    adjacency = graph.adjacency
+    states: dict[tuple, list[int]] = {(): [1]}
+    for key in keys:
+        ahead[key] -= 1
+        link = adjacency[vertex_of[key]]
+        step: dict[tuple, list[int]] = {}
+        for arcs, poly in states.items():
+            after = 0  # arcs after index k that cross arc k
+            for k in range(len(arcs) - 1, -1, -1):
+                if arcs[k] == key:
+                    _add_shifted(step, arcs[:k] + arcs[k + 1 :], poly, after)
+                after += vertex_of[arcs[k]] not in link
+            if arcs.count(key) < ahead[key]:
+                _add_shifted(step, arcs + (key,), poly, 0)
+        states = step
+    return states.get((), [0])
+
+
+def _add_shifted(states: dict, arcs: tuple, poly: list[int], shift: int) -> None:
+    """Add x ** shift * poly to the polynomial of ``arcs``.
+
+    The first contribution is copied, since later ones are added in place.
+    """
+    acc = states.get(arcs)
+    if acc is None:
+        states[arcs] = [0] * shift + poly
+        return
+    if len(acc) < shift + len(poly):
+        acc.extend([0] * (shift + len(poly) - len(acc)))
+    for k, c in enumerate(poly, shift):
+        acc[k] += c
+
+
 def count_gamma_admissible(
     graph: SimplicialGraph,
     word: LabeledWord,
@@ -214,12 +278,7 @@ def count_gamma_admissible(
     max_len: int = DEFAULT_MAX_WORD_LEN,
 ) -> int:
     """Number of pairings without graph crossings; 0 for odd length."""
-    vertices = [v for v, _ in word]
-    total = 0
-    for partition in enumerate_pairings(graph, word, match, max_len):
-        if not crossings(graph, vertices, partition.pairs)[1]:
-            total += 1
-    return total
+    return crossing_polynomial(graph, word, match, max_len)[0]
 
 
 def limit_moment(
@@ -233,13 +292,14 @@ def limit_moment(
 
     theta is the sign bias p - q of the random-sign model; theta ** 0 is 1
     even at theta = 0, so the value at 0 is the admissible-pairing count
-    and the value at 1 is the total pairing count.
+    and the value at 1 is the total pairing count.  The crossing polynomial
+    is evaluated exactly at the float theta and rounded once.
     """
     if not -1.0 <= theta <= 1.0:
         raise DomainError(f"theta must lie in [-1, 1], got {theta}")
-    vertices = [v for v, _ in word]
-    total = 0.0
-    for partition in enumerate_pairings(graph, word, match, max_len):
-        exponent = len(crossings(graph, vertices, partition.pairs)[1])
-        total += 1.0 if exponent == 0 else theta**exponent
-    return total
+    coeffs = crossing_polynomial(graph, word, match, max_len)
+    # theta = p / q exactly, so sum c_k theta^k = sum c_k p^k q^(d-k) / q^d,
+    # and int / int rounds the exact quotient once.
+    p, q = theta.as_integer_ratio()
+    d = len(coeffs) - 1
+    return sum(c * p**k * q ** (d - k) for k, c in enumerate(coeffs)) / q**d

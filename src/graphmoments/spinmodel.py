@@ -149,8 +149,8 @@ class SpinAlgebra:
     the graph; a caller that only ever occupies the slots of some vertices
     may restrict the universe to them, which leaves every product among
     those slots unchanged.  Sign rows against all smaller slots are built
-    from one sign matrix per vertex pair, so a left multiplication is one
-    popcount.
+    from one sign matrix per non-adjacent vertex pair (adjacent pairs are
+    fixed at +1), so a left multiplication is one popcount.
     """
 
     def __init__(self, signs: SignFunction, n_indices: int, vertices=None):
@@ -168,7 +168,10 @@ class SpinAlgebra:
         self._rank = {gi: r for r, gi in enumerate(self.universe)}
         neg = [0] * len(self.universe)
         for p, v in enumerate(self.vertices):
+            link = self.graph.link(v)
             for q in range(p, len(self.vertices)):
+                if self.vertices[q] in link:  # adjacent: every sign is +1
+                    continue
                 block = signs.matrix(v, self.vertices[q], range(n_indices)).tolist()
                 for a, row in enumerate(block):
                     ra = p * n_indices + a

@@ -240,6 +240,14 @@ def test_budget_exceeded_exits_3(capsys, graph_files):
     assert code == 3 and "overflows" in err
 
 
+def test_partitions_route_answers_a16(capsys, graph_files):
+    argv = [
+        "moment", "--method", "partitions",
+        "--graph", graph_files["single"], "--word", " ".join(["a:1"] * 16),
+    ]
+    assert run(capsys, argv)[:2] == (0, "1430\n")
+
+
 def test_fock_and_partitions_always_agree(capsys, graph_files):
     import random
 
@@ -265,6 +273,35 @@ def test_fock_and_partitions_always_agree(capsys, graph_files):
 T_ESTIMATE = ["clt", "t-estimate", "--word", "a a a a", "--pairing", "1-3,2-4"]
 VARIANCE = ["clt", "variance", "--word", "a a a a", "--pairing", "1-3,2-4"]
 SINGLE = {"vertices": ["a"], "edges": []}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # commands without a word-length cap reject the flag as a usage error
+        (T_ESTIMATE + ["--N", "4", "--max-word-len", "2"], 1),
+        (VARIANCE + ["--M-list", "4,8", "--max-word-len", "2"], 1),
+        # commands without an iteration budget reject that flag
+        (["partitions", "count", "--word", "a:1 a:1", "--max-iterations", "9"], 1),
+        (["limit", "--theta", "0.5", "--word", "a:1 a:1", "--max-iterations", "9"], 1),
+        # the others enforce the cap
+        (["compare", "--word", "a:1 a:1 a:1 a:1", "--N-list", "2", "--seeds", "0",
+          "--max-word-len", "2"], 3),
+        (["moment", "--method", "matrix", "--word", "a:1 a:1 a:1 a:1",
+          "--max-word-len", "2"], 3),
+        (["moment", "--method", "matrix", "--word", "a:1 a:1 a:1 a:1",
+          "--max-word-len", "4"], 0),
+    ],
+    ids=[
+        "t-estimate-word-len", "variance-word-len", "partitions-iterations",
+        "limit-iterations", "compare-word-len", "matrix-word-len", "matrix-at-cap",
+    ],
+)
+def test_every_budget_flag_is_read(capsys, graph_files, argv, code):
+    got, out, _ = run(capsys, argv + ["--graph", graph_files["single"]])
+    assert got == code
+    if code:
+        assert out == ""
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from graphmoments import (
     ExplicitSigns,
     PairPartition,
     SeededSigns,
+    SpinAlgebra,
     build_graph,
     t_estimate,
 )
@@ -77,6 +78,15 @@ def test_sign_matrix_draws_each_pair_once():
         canonical = {(i, x, j, y) if (x, i) <= (y, j) else (j, y, i, x)
                      for i, x, j, y in signs.queries}
         assert len(signs.queries) == len(canonical) == expected, (v, w)
+
+
+def test_spin_algebra_draws_no_adjacent_pair():
+    # a-b is an edge, so only the pairs within a and within b are drawn
+    graph = build_graph(["a", "b"], [("a", "b")])
+    signs = CountingSigns(graph)
+    SpinAlgebra(signs, 32)
+    assert not any(graph.is_edge(v, w) for _, v, _, w in signs.queries)
+    assert len(signs.queries) == len(set(signs.queries)) == 2 * 32 * 31 // 2
 
 
 def test_t_estimate_draws_each_pair_once():
