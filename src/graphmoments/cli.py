@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import cltlab, fock, partitions, spinmodel, words
 from .errors import BudgetExceeded, GraphMomentsError
 from .graph import SimplicialGraph, load_graph
 from .partitions import PairPartition
+
+# Listing commands hold every row, then the whole output, in memory.
+MAX_LISTED_ROWS = 2 * 10**5
 
 
 class _UsageError(Exception):
@@ -25,8 +29,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; this surface reserves 2 for bad input
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise _UsageError(message)
+        raise _UsageError(f"{self.prog}: error: {message}")
 
 
 def _int_list(text: str) -> list[int]:
@@ -61,25 +64,29 @@ def _cmd_reduced(graph: SimplicialGraph, args) -> None:
 
 def _cmd_equivalent(graph: SimplicialGraph, args) -> None:
     if len(args.word) != 2:
-        raise _UsageError("equivalent needs exactly two --word flags")
+        raise _UsageError("graphmoments equivalent: error: give --word exactly twice")
     w1, w2 = (words.parse_word(w) for w in args.word)
     value = words.are_equivalent(graph, w1, w2)
     _emit(args, "true" if value else "false", {"value": value})
 
 
+def _require_listable(rows: int, what: str) -> None:
+    if rows > MAX_LISTED_ROWS:
+        raise BudgetExceeded(f"{rows} {what} to list, over the cap of {MAX_LISTED_ROWS}")
+
+
 def _cmd_partitions(graph: SimplicialGraph, args) -> None:
     word = partitions.parse_labeled_word(args.word)
+    count = sum(
+        partitions.crossing_polynomial(graph, word, args.match, args.max_word_len)
+    )
     if args.what == "count":
-        count = sum(
-            partitions.crossing_polynomial(graph, word, args.match, args.max_word_len)
-        )
         _emit(args, str(count), {"count": count})
-    else:
-        pairings = partitions.enumerate_pairings(
-            graph, word, args.match, args.max_word_len
-        )
-        human = "\n".join(str(p) for p in pairings)
-        _emit(args, human, {"pairings": [[list(pair) for pair in p.pairs] for p in pairings]})
+        return
+    _require_listable(count, "pairings")
+    pairings = partitions.enumerate_pairings(graph, word, args.match, args.max_word_len)
+    human = "\n".join(str(p) for p in pairings)
+    _emit(args, human, {"pairings": [[list(pair) for pair in p.pairs] for p in pairings]})
 
 
 def _cmd_moment(graph: SimplicialGraph, args) -> None:
@@ -149,6 +156,8 @@ def _cmd_variance(graph: SimplicialGraph, args) -> None:
 
 
 def _cmd_sign_dump(graph: SimplicialGraph, args) -> None:
+    universe = 2 * args.N * len(graph.vertices)
+    _require_listable(math.comb(max(universe, 0), 2), "sign entries")
     signs = spinmodel.SeededSigns(graph, args.p, args.seed)
     doc = {
         "p": args.p,
@@ -275,7 +284,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.func(load_graph(args.graph), args)
         return 0
-    except _UsageError:
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
         return 1
     except BudgetExceeded as exc:
         print(f"graphmoments: budget exceeded: {exc}", file=sys.stderr)

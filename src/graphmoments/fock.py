@@ -6,7 +6,10 @@ one vertex form contiguous blocks; collapsing each block to a single
 letter must leave a reduced word.  Words that differ only by swapping
 adjacent blocks of adjacent vertices name the same basis vector, so every
 word is stored in a canonical block order (lexicographically least, via
-greedy extraction of the smallest front-movable block).  All inner
+greedy extraction of the smallest front-movable block).  The operators
+edit the canonical letter tuple in place and re-derive the block order
+only when a block appears or disappears; growing or shrinking a block
+leaves the collapsed word, hence the order, unchanged.  All inner
 products in this model are 0 or 1, hence states are plain dictionaries
 mapping canonical words to integers and the whole module is float-free.
 """
@@ -14,6 +17,8 @@ mapping canonical words to integers and the whole module is float-free.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import InvalidToken
 from .graph import SimplicialGraph
@@ -28,24 +33,13 @@ from .words import is_reduced, normal_form_order
 BasisWord = tuple[Letter, ...]
 FockState = dict[BasisWord, int]
 
-Block = tuple[str, tuple[int, ...]]
 
-
-def _split_blocks(letters: BasisWord) -> list[Block]:
-    blocks: list[Block] = []
-    for v, s in letters:
-        if blocks and blocks[-1][0] == v:
-            blocks[-1] = (v, blocks[-1][1] + (s,))
-        else:
-            blocks.append((v, (s,)))
-    return blocks
-
-
-def _join_canonical(graph: SimplicialGraph, blocks: list[Block]) -> BasisWord:
+def _canonical(graph: SimplicialGraph, letters: BasisWord) -> BasisWord:
     # The blocks of a basis word collapse to a reduced vertex word, whose
     # normal form fixes the canonical block order.
-    order = normal_form_order(graph, [v for v, _ in blocks])
-    return tuple((blocks[k][0], s) for k in order for s in blocks[k][1])
+    blocks = [tuple(block) for _, block in groupby(letters, itemgetter(0))]
+    order = normal_form_order(graph, [block[0][0] for block in blocks])
+    return tuple(letter for k in order for letter in blocks[k])
 
 
 def canonical_basis_word(graph: SimplicialGraph, letters) -> BasisWord:
@@ -56,13 +50,12 @@ def canonical_basis_word(graph: SimplicialGraph, letters) -> BasisWord:
     """
     letters = tuple(letters)
     validate_labeled_word(graph, letters)
-    blocks = _split_blocks(letters)
-    collapsed = tuple(v for v, _ in blocks)
+    collapsed = tuple(v for v, _ in groupby(letters, itemgetter(0)))
     if not is_reduced(graph, collapsed):
         raise InvalidToken(
             f"letters {letters!r} collapse to a non-reduced word {collapsed!r}"
         )
-    return _join_canonical(graph, blocks)
+    return _canonical(graph, letters)
 
 
 def vacuum() -> FockState:
@@ -89,13 +82,14 @@ def inner(left: FockState, right: FockState) -> int:
     return sum(coeff * right.get(word, 0) for word, coeff in left.items())
 
 
-def _front_block(blocks: list[Block], v: str, link: frozenset[str]) -> int:
-    """Index of the block of vertex v that can move to the front, or -1.
+def _front(word: BasisWord, v: str, link: frozenset[str]) -> int:
+    """Position of the head of the block of vertex v that can move to the
+    front, or -1.
 
     Only the first block of v can: a later one has that block, which does
     not commute with v, among its predecessors.
     """
-    for idx, (u, _) in enumerate(blocks):
+    for idx, (u, _) in enumerate(word):
         if u == v:
             return idx
         if u not in link:
@@ -126,13 +120,12 @@ def apply_create(
     for word, coeff in state.items():
         if max_letters is not None and word.count(letter) >= max_letters:
             continue
-        blocks = _split_blocks(word)
-        idx = _front_block(blocks, v, link)
+        idx = _front(word, v, link)
         if idx >= 0:
-            blocks[idx] = (v, (spin,) + blocks[idx][1])
+            created = word[:idx] + (letter,) + word[idx:]
         else:
-            blocks.insert(0, (v, (spin,)))
-        _accumulate(out, _join_canonical(graph, blocks), coeff)
+            created = _canonical(graph, (letter,) + word)
+        _accumulate(out, created, coeff)
     return out
 
 
@@ -148,16 +141,13 @@ def apply_annihilate(
     link = graph.link(v)
     out: FockState = {}
     for word, coeff in state.items():
-        blocks = _split_blocks(word)
-        idx = _front_block(blocks, v, link)
-        if idx < 0 or blocks[idx][1][0] != spin:
+        idx = _front(word, v, link)
+        if idx < 0 or word[idx][1] != spin:
             continue
-        spins = blocks[idx][1]
-        if len(spins) == 1:
-            del blocks[idx]
-        else:
-            blocks[idx] = (v, spins[1:])
-        _accumulate(out, _join_canonical(graph, blocks), coeff)
+        rest = word[:idx] + word[idx + 1 :]
+        if idx == len(rest) or rest[idx][0] != v:  # the block died
+            rest = _canonical(graph, rest)
+        _accumulate(out, rest, coeff)
     return out
 
 
@@ -195,10 +185,9 @@ def vacuum_moment(
     remain cannot return to the vacuum; such words are never created.
     """
     validate_labeled_word(graph, word, max_len)
-    letters = [(v, s) for v, s in word]
-    remaining = Counter(letters)
+    remaining = Counter(word)
     state = vacuum()
-    for letter in reversed(letters):
+    for letter in reversed(word):
         remaining[letter] -= 1
         state = apply_field(graph, state, letter, max_letters=remaining[letter])
     return state.get((), 0)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from graphmoments import cli
 from graphmoments.cli import main
 
 
@@ -238,6 +239,27 @@ def test_budget_exceeded_exits_3(capsys, graph_files):
         ],
     )
     assert code == 3 and "overflows" in err
+    # the listings are refused before any row is built: 2,027,025 pairings
+    # of a^16, and C(2 * 10**6, 2) sign entries
+    for argv in (
+        ["partitions", "list", "--word", " ".join(["a:1"] * 16)],
+        ["sign-dump", "--N", str(10**6)],
+    ):
+        code, out, err = run(capsys, argv + ["--graph", graph_files["single"]])
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "over the cap" in err
+
+
+def test_listing_cap_is_inclusive(capsys, graph_files, monkeypatch):
+    # a^4 has 3 pairings; 2N = 4 indices on two vertices give C(8, 2) = 28 entries
+    for argv, rows in (
+        (["partitions", "list", "--graph", graph_files["single"], "--word", "a:1 a:1 a:1 a:1"], 3),
+        (["sign-dump", "--graph", graph_files["noedge2"], "--N", "2"], 28),
+    ):
+        monkeypatch.setattr(cli, "MAX_LISTED_ROWS", rows)
+        assert run(capsys, argv)[0] == 0
+        monkeypatch.setattr(cli, "MAX_LISTED_ROWS", rows - 1)
+        assert run(capsys, argv)[0] == 3
 
 
 def test_partitions_route_answers_a16(capsys, graph_files):

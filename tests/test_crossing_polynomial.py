@@ -1,5 +1,5 @@
 """Differential and closed-form tests of the crossing-polynomial DP and of
-the pruned Fock field operator.
+the Fock operators: pruning, and the canonical words they return.
 
 The DP is checked against the histogram of graph crossings over the
 enumerated pairings, against the Fock simulation, and on one vertex against
@@ -23,7 +23,12 @@ from graphmoments import (
     vacuum,
     vacuum_moment,
 )
-from graphmoments.fock import apply_create, apply_field
+from graphmoments.fock import (
+    apply_annihilate,
+    apply_create,
+    apply_field,
+    canonical_basis_word,
+)
 from graphmoments.partitions import crossings
 
 # Derandomized, so every run replays the same examples bit for bit.
@@ -141,3 +146,18 @@ def test_pruned_field_drops_exactly_the_over_cap_words(data):
         full = op(graph, state, letter)
         kept = {w: c for w, c in full.items() if w.count(letter) <= cap}
         assert op(graph, state, letter, max_letters=cap) == kept
+
+
+@REPLAY
+@given(st.data())
+def test_operators_return_canonical_words(data):
+    graph = data.draw(small_graphs())
+    state = data.draw(fock_states(graph))
+    cap = data.draw(st.integers(0, 4))
+    for letter in itertools.product(graph.vertices, (1, 2)):
+        results = [apply_annihilate(graph, state, letter)]
+        for op in (apply_create, apply_field):
+            results += [op(graph, state, letter), op(graph, state, letter, max_letters=cap)]
+        for out in results:
+            for word in out:
+                assert word == canonical_basis_word(graph, word)
