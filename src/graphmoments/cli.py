@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import cltlab, fock, partitions, spinmodel, words
@@ -26,6 +27,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -5 and -0.5 as negative numbers, so a value
+        # such as -1e-05, -.5E+3 or the list -2,4 was taken for an option
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # argparse exits 2 on usage errors; this surface reserves 2 for bad input
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -8,8 +8,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetExceeded, DomainError, SizeLimit
 from .graph import SimplicialGraph
 from .partitions import (
@@ -19,7 +17,13 @@ from .partitions import (
     crossings,
     limit_moment,
 )
-from .spinmodel import DEFAULT_BUDGET, SeededSigns, SignFunction, moment_s_word
+from .spinmodel import (
+    DEFAULT_BUDGET,
+    SeededSigns,
+    SignFunction,
+    check_summand_count,
+    moment_s_word,
+)
 
 Word = tuple[str, ...]
 
@@ -76,16 +80,8 @@ def t_estimate(
     has to avoid the indices of its vertex's other blocks, so those blocks
     contribute a falling factorial and allocate nothing.
     """
-    for v in word:
-        graph.require_vertex(v)
-    pairs = PairPartition.from_pairs(partition.pairs, len(word)).pairs
-    if n < 1:
-        raise DomainError(f"N must be positive, got {n}")
+    pairs = _checked_pairs(graph, word, partition, n, budget)
     r = len(pairs)
-    if n**r > budget:
-        raise BudgetExceeded(f"N^(n/2) = {n}^{r} exceeds the budget {budget}")
-    if n**r >= 2**63:
-        raise BudgetExceeded(f"N^(n/2) = {n}^{r} overflows the 64-bit integer sum")
     vertices = [word[e - 1] for e, _ in pairs]
     if any(word[e - 1] != word[z - 1] for e, z in pairs):
         return 0.0
@@ -99,6 +95,8 @@ def t_estimate(
             f"{len(crossed)} crossing blocks exceed the {MAX_LABELS} labels"
             " of one contraction"
         )
+    import numpy as np
+
     label = {b: k for k, b in enumerate(crossed)}
     indices = range(1, n + 1)
     matrices: dict[tuple[str, str], np.ndarray] = {}
@@ -131,7 +129,25 @@ def t_estimate(
     return estimate
 
 
-def _sum_of_products(factors: list[tuple[np.ndarray, list[int]]]) -> int:
+def _checked_pairs(
+    graph: SimplicialGraph, word: Word, partition: PairPartition, n: int, budget: int
+) -> tuple[tuple[int, int], ...]:
+    """The pairs of ``partition``, once word, pairing and N are valid for
+    one estimate within the budget."""
+    for v in word:
+        graph.require_vertex(v)
+    pairs = PairPartition.from_pairs(partition.pairs, len(word)).pairs
+    if n < 1:
+        raise DomainError(f"N must be positive, got {n}")
+    r = len(pairs)
+    if n**r > budget:
+        raise BudgetExceeded(f"N^(n/2) = {n}^{r} exceeds the budget {budget}")
+    if n**r >= 2**63:
+        raise BudgetExceeded(f"N^(n/2) = {n}^{r} overflows the 64-bit integer sum")
+    return pairs
+
+
+def _sum_of_products(factors: list[tuple]) -> int:
     """Exact sum, over every value of every label, of a product of factors.
 
     Each factor is a tensor with one axis per label it lists.  Labels are
@@ -140,6 +156,8 @@ def _sum_of_products(factors: list[tuple[np.ndarray, list[int]]]) -> int:
     one int64 tensor over those other labels, and it is summed out.  So
     every tensor made has fewer axes than there are labels.
     """
+    import numpy as np
+
     total = 1
     while factors:
 
@@ -176,9 +194,22 @@ def convergence_sweep(
 
     The exact limit weights each pairing by (2p - 1) to its number of
     graph crossings; the matrix model provably converges to it at
-    p = 1/2, for other p the column is the conjectured target.
+    p = 1/2, for other p the column is the conjectured target.  The
+    budget caps each moment at N^n, and the whole sweep at
+    len(seeds) x the sum of N^n over ``n_list``.
     """
+    n_list, seeds = list(n_list), list(seeds)
     exact = limit_moment(graph, word, 2.0 * p - 1.0, max_len=max_len)
+    if not (n_list and seeds):
+        return []
+    for n in n_list:
+        check_summand_count(word, n, budget)
+    total = len(seeds) * sum(n ** len(word) for n in n_list)
+    if total > budget:
+        raise BudgetExceeded(
+            f"{len(seeds)} seeds x sum of N^{len(word)} = {total}"
+            f" exceeds the budget {budget}"
+        )
     rows = []
     for n in n_list:
         for seed in seeds:
@@ -203,10 +234,25 @@ def variance_sweep(
     Seeds are seed_base + 0 .. seed_base + sample_count - 1 so runs replay
     bit for bit.  The slope is a least-squares fit of log variance against
     log M, skipping zero variances; with fewer than 3 usable points the
-    fit is degenerate and the slope is reported as exactly 0.
+    fit is degenerate and the slope is reported as exactly 0.  The budget
+    caps each estimate at M^(n/2), and the whole sweep at sample_count x
+    the sum of M^(n/2) over ``m_list``.
     """
     if sample_count < 2:
         raise DomainError(f"sample_count must be at least 2, got {sample_count}")
+    m_list, r = list(m_list), len(partition.pairs)
+    if not m_list:
+        return VarianceSweepResult((), 0.0, True)
+    SeededSigns(graph, p, seed_base)  # p is rejected before the budget
+    for m in m_list:
+        _checked_pairs(graph, word, partition, m, budget)
+    total = sample_count * sum(m**r for m in m_list)
+    if total > budget:
+        raise BudgetExceeded(
+            f"{sample_count} samples x sum of M^{r} = {total} exceeds the budget {budget}"
+        )
+    import numpy as np
+
     rows = []
     for m in m_list:
         values = [

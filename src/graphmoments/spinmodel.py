@@ -18,8 +18,6 @@ import hashlib
 import struct
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import BudgetExceeded, DomainError, OddN
 from .graph import SimplicialGraph
 from .partitions import LabeledWord, validate_labeled_word
@@ -50,26 +48,31 @@ class SignFunction:
             i, v, j, w = j, w, i, v
         return self._draw(i, v, j, w)
 
-    def matrix(self, v: str, w: str, indices) -> np.ndarray:
+    def rows(self, v: str, w: str, indices) -> list[list[int]]:
         """Signs between the ``indices`` of vertex v and those of vertex w.
 
-        Returns the int8 matrix ``S[a, b] = self(indices[a], v, indices[b], w)``.
+        Returns the rows ``S[a][b] = self(indices[a], v, indices[b], w)``.
         Each unordered generator pair is drawn once through ``self``: for
         ``v == w`` the strict upper triangle is drawn and mirrored, and the
         swapped orientation is the transpose of the canonical one.
         """
         if w < v:
-            return self.matrix(w, v, indices).T
+            return [list(column) for column in zip(*self.rows(w, v, indices))]
         indices = list(indices)
-        n = len(indices)
         if v != w:
-            rows = [[self(i, v, j, w) for j in indices] for i in indices]
-            return np.array(rows, dtype=np.int8).reshape(n, n)
-        upper = np.zeros((n, n), dtype=np.int8)
-        upper[np.triu_indices(n, 1)] = [
-            self(i, v, j, v) for a, i in enumerate(indices) for j in indices[a + 1 :]
-        ]
-        return upper + upper.T - np.eye(n, dtype=np.int8)  # a label against itself: -1
+            return [[self(i, v, j, w) for j in indices] for i in indices]
+        rows = [[-1] * len(indices) for _ in indices]  # a label against itself: -1
+        for a, i in enumerate(indices):
+            for b in range(a + 1, len(indices)):
+                rows[a][b] = rows[b][a] = self(i, v, indices[b], v)
+        return rows
+
+    def matrix(self, v: str, w: str, indices):
+        """The sign rows of ``rows(v, w, indices)`` as an int8 numpy matrix."""
+        import numpy as np
+
+        rows = self.rows(v, w, indices)
+        return np.array(rows, dtype=np.int8).reshape(len(rows), len(rows))
 
     def _draw(self, i: int, v: str, j: int, w: str) -> int:
         raise NotImplementedError
@@ -149,8 +152,9 @@ class SpinAlgebra:
     the graph; a caller that only ever occupies the slots of some vertices
     may restrict the universe to them, which leaves every product among
     those slots unchanged.  Sign rows against all smaller slots are built
-    from one sign matrix per non-adjacent vertex pair (adjacent pairs are
-    fixed at +1), so a left multiplication is one popcount.
+    from one block of ``signs.rows`` per non-adjacent vertex pair
+    (adjacent pairs are fixed at +1), so a left multiplication is one
+    popcount.
     """
 
     def __init__(self, signs: SignFunction, n_indices: int, vertices=None):
@@ -172,7 +176,7 @@ class SpinAlgebra:
             for q in range(p, len(self.vertices)):
                 if self.vertices[q] in link:  # adjacent: every sign is +1
                     continue
-                block = signs.matrix(v, self.vertices[q], range(n_indices)).tolist()
+                block = signs.rows(v, self.vertices[q], range(n_indices))
                 for a, row in enumerate(block):
                     ra = p * n_indices + a
                     for b in range(a + 1 if p == q else 0, n_indices):
@@ -233,7 +237,9 @@ class SpinAlgebra:
         return self.vacuum_trace([self.rank(i, v) for i, v in labels])
 
 
-def _validate_summand_count(word: LabeledWord, n: int) -> None:
+def check_summand_count(word: LabeledWord, n: int, budget: int) -> None:
+    """Reject an N the matrix model cannot take for ``word``, or whose raw
+    count N^n exceeds the budget."""
     if n < 1:
         raise DomainError(f"N must be positive, got {n}")
     if n == 1:
@@ -241,6 +247,8 @@ def _validate_summand_count(word: LabeledWord, n: int) -> None:
             raise OddN("N = 1 only supports words with all spins equal to 1")
     elif n % 2:
         raise OddN(f"N must be even, got {n}")
+    if n ** len(word) > budget:
+        raise BudgetExceeded(f"N^n = {n}^{len(word)} exceeds the budget {budget}")
 
 
 def moment_s_word(
@@ -261,10 +269,8 @@ def moment_s_word(
     """
     graph = signs.graph
     validate_labeled_word(graph, word)
-    _validate_summand_count(word, n)
+    check_summand_count(word, n, budget)
     length = len(word)
-    if n**length > budget:
-        raise BudgetExceeded(f"N^n = {n}^{length} exceeds the budget {budget}")
     if length % 2:
         return Fraction(0)
     algebra = SpinAlgebra(signs, 2 * n, {v for v, _ in word})

@@ -21,6 +21,10 @@ def graph_files(tmp_path):
     return paths
 
 
+T_ESTIMATE = ["clt", "t-estimate", "--word", "a a a a", "--pairing", "1-3,2-4"]
+VARIANCE = ["clt", "variance", "--word", "a a a a", "--pairing", "1-3,2-4"]
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -248,6 +252,32 @@ def test_budget_exceeded_exits_3(capsys, graph_files):
         code, out, err = run(capsys, argv + ["--graph", graph_files["single"]])
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "over the cap" in err
+    # the sweeps are refused before the first estimate, although each of
+    # their estimates is within the budget: 10^8 samples x 4^2 index tuples,
+    # and 2 seeds x 100^4 sweep terms
+    for argv in (
+        VARIANCE + ["--M-list", "4", "--samples", str(10**8)],
+        ["compare", "--word", "a:1 a:1 a:1 a:1", "--N-list", "100", "--seeds", "0,1"],
+    ):
+        code, out, err = run(capsys, argv + ["--graph", graph_files["single"]])
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "exceeds the budget" in err
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        # 4 samples x (2^2 + 3^2) index tuples
+        (VARIANCE + ["--M-list", "2,3", "--samples", "4"], 52),
+        # 2 seeds x (2^4 + 4^4) sweep terms
+        (["compare", "--word", "a:1 a:1 a:1 a:1", "--N-list", "2,4", "--seeds", "0,1"], 544),
+    ],
+    ids=["variance", "compare"],
+)
+def test_sweep_budget_is_inclusive(capsys, graph_files, argv, cap):
+    argv = argv + ["--graph", graph_files["single"]]
+    assert run(capsys, argv + ["--max-iterations", str(cap)])[0] == 0
+    assert run(capsys, argv + ["--max-iterations", str(cap - 1)])[0] == 3
 
 
 def test_listing_cap_is_inclusive(capsys, graph_files, monkeypatch):
@@ -292,9 +322,30 @@ def test_fock_and_partitions_always_agree(capsys, graph_files):
         assert outs[0] == outs[1]
 
 
-T_ESTIMATE = ["clt", "t-estimate", "--word", "a a a a", "--pairing", "1-3,2-4"]
-VARIANCE = ["clt", "variance", "--word", "a a a a", "--pairing", "1-3,2-4"]
 SINGLE = {"vertices": ["a"], "edges": []}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["limit", "--word", "a:1 a:1 a:1 a:1", "--theta", "-1e-05"], 0),
+        (["limit", "--word", "a:1 a:1 a:1 a:1", "--theta", "-.5E+3"], 2),
+        (["moment", "--method", "matrix", "--word", "a:1 a:1", "--p", "-1e-3"], 2),
+        (T_ESTIMATE + ["--N", "2", "--p", "-2.5e-1"], 2),
+        (["compare", "--word", "a:1 a:1", "--N-list", "-2,4", "--seeds", "0"], 2),
+        (["compare", "--word", "a:1 a:1", "--N-list", "2", "--seeds", "-1,2"], 0),
+    ],
+    ids=["theta", "theta-out-of-range", "p", "t-estimate-p", "N-list", "seeds"],
+)
+def test_negative_number_is_a_value(capsys, graph_files, argv, code):
+    # "--flag -1e-05" reads the same as "--flag=-1e-05"
+    graph = ["--graph", graph_files["single"]]
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    got, out, err = run(capsys, argv + graph)
+    assert (got, out) == run(capsys, joined + graph)[:2]
+    assert got == code
+    if code:
+        assert out == "" and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
