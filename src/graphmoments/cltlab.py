@@ -199,6 +199,7 @@ def convergence_sweep(
     len(seeds) x the sum of N^n over ``n_list``.
     """
     n_list, seeds = list(n_list), list(seeds)
+    SeededSigns(graph, p, 0)  # p is rejected before it becomes theta = 2p - 1
     exact = limit_moment(graph, word, 2.0 * p - 1.0, max_len=max_len)
     if not (n_list and seeds):
         return []

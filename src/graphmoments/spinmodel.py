@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import BudgetExceeded, DomainError, OddN
 from .graph import SimplicialGraph
@@ -48,19 +49,25 @@ class SignFunction:
             i, v, j, w = j, w, i, v
         return self._draw(i, v, j, w)
 
-    def rows(self, v: str, w: str, indices) -> list[list[int]]:
-        """Signs between the ``indices`` of vertex v and those of vertex w.
+    def rows(self, v: str, w: str, indices, columns=None) -> list[list[int]]:
+        """Signs between the ``indices`` of vertex v and the ``columns`` of w.
 
-        Returns the rows ``S[a][b] = self(indices[a], v, indices[b], w)``.
-        Each unordered generator pair is drawn once through ``self``: for
-        ``v == w`` the strict upper triangle is drawn and mirrored, and the
-        swapped orientation is the transpose of the canonical one.
+        Returns the rows ``S[a][b] = self(indices[a], v, columns[b], w)``.
+        ``columns`` defaults to ``indices``, and a block with ``v == w`` is
+        square: its columns, if given, are its indices.  Each unordered generator pair is drawn once through
+        ``self``: for ``v == w`` the strict upper triangle is drawn and
+        mirrored, and the swapped orientation is the transpose of the
+        canonical one.
         """
-        if w < v:
-            return [list(column) for column in zip(*self.rows(w, v, indices))]
         indices = list(indices)
+        columns = indices if columns is None else list(columns)
+        if w < v:
+            block = self.rows(w, v, columns, indices)
+            return [[row[a] for row in block] for a in range(len(indices))]
         if v != w:
-            return [[self(i, v, j, w) for j in indices] for i in indices]
+            return [[self(i, v, j, w) for j in columns] for i in indices]
+        if columns != indices:
+            raise ValueError("a block with v == w takes no separate columns")
         rows = [[-1] * len(indices) for _ in indices]  # a label against itself: -1
         for a, i in enumerate(indices):
             for b in range(a + 1, len(indices)):
@@ -146,45 +153,48 @@ class ExplicitSigns(SignFunction):
 class SpinAlgebra:
     """The generator algebra over a concrete index universe.
 
-    The universe is ``{0, ..., n_indices - 1} x vertices`` in the linear
-    order (vertex lexicographic, then index); subsets of it are stored as
-    bit masks over that order.  ``vertices`` defaults to every vertex of
-    the graph; a caller that only ever occupies the slots of some vertices
-    may restrict the universe to them, which leaves every product among
-    those slots unchanged.  Sign rows against all smaller slots are built
-    from one block of ``signs.rows`` per non-adjacent vertex pair
-    (adjacent pairs are fixed at +1), so a left multiplication is one
-    popcount.
+    The universe holds the generators (i, v) of each vertex's index list,
+    in the linear order (vertex lexicographic, then index); subsets of it
+    are stored as bit masks over that order.  ``indices`` maps each vertex
+    to its index list, or is a count n, which gives every index below n to
+    each of ``vertices`` (default: every vertex of the graph).  A
+    reordering sign only involves occupied slots, so a caller that only
+    ever occupies some slots may leave the others out, which leaves every
+    product among the slots it keeps unchanged.  The signs of each slot
+    against the smaller ones are one bit mask, built from one block of
+    ``signs.rows`` per non-adjacent vertex pair (adjacent pairs are fixed
+    at +1), so a left multiplication is one popcount.
     """
 
-    def __init__(self, signs: SignFunction, n_indices: int, vertices=None):
-        if n_indices < 0:
-            raise DomainError(f"index count must not be negative, got {n_indices}")
+    def __init__(self, signs: SignFunction, indices, vertices=None):
         self.signs = signs
         self.graph = signs.graph
-        self.n_indices = n_indices
-        if vertices is None:
-            vertices = self.graph.vertices
-        self.vertices = tuple(sorted(vertices))
+        if isinstance(indices, int):
+            if indices < 0:
+                raise DomainError(f"index count must not be negative, got {indices}")
+            if vertices is None:
+                vertices = self.graph.vertices
+            indices = dict.fromkeys(vertices, range(indices))
+        self.vertices = tuple(sorted(indices))
+        lists = [sorted(set(indices[v])) for v in self.vertices]
         self.universe: list[GeneratorIndex] = [
-            (i, v) for v in self.vertices for i in range(n_indices)
+            (i, v) for v, slots in zip(self.vertices, lists) for i in slots
         ]
         self._rank = {gi: r for r, gi in enumerate(self.universe)}
-        neg = [0] * len(self.universe)
+        offsets = list(accumulate(map(len, lists), initial=0))
+        below = [0] * len(self.universe)
         for p, v in enumerate(self.vertices):
             link = self.graph.link(v)
             for q in range(p, len(self.vertices)):
                 if self.vertices[q] in link:  # adjacent: every sign is +1
                     continue
-                block = signs.rows(v, self.vertices[q], range(n_indices))
+                block = signs.rows(v, self.vertices[q], lists[p], lists[q])
                 for a, row in enumerate(block):
-                    ra = p * n_indices + a
-                    for b in range(a + 1 if p == q else 0, n_indices):
+                    bit = 1 << (offsets[p] + a)
+                    for b in range(a + 1 if p == q else 0, len(row)):
                         if row[b] < 0:
-                            rb = q * n_indices + b
-                            neg[ra] |= 1 << rb
-                            neg[rb] |= 1 << ra
-        self._neg = neg
+                            below[offsets[q] + b] |= bit
+        self._below = below
 
     def rank(self, i: int, v: str) -> int:
         try:
@@ -199,26 +209,22 @@ class SpinAlgebra:
         smaller slots) and the toggled subset: the generator is inserted
         when absent and cancelled when present.
         """
-        below = mask & ((1 << r) - 1)
-        sign = -1 if (self._neg[r] & below).bit_count() & 1 else 1
+        sign = -1 if (self._below[r] & mask).bit_count() & 1 else 1
         return sign, mask ^ (1 << r)
 
-    def apply_b(
-        self, state: dict[int, int], *ranks: int, max_size: int | None = None
-    ) -> dict[int, int]:
+    def apply_b(self, state: dict[int, int], *ranks: int) -> dict[int, int]:
         """Sum of the hopping operators ``ranks`` applied to every term.
 
-        With ``max_size``, result subsets of more than ``max_size`` elements
-        are dropped, which prunes terms too large to return to the vacuum.
+        Each term is ``left_multiply`` written out, its sign masks looked up
+        once per call rather than once per term.
         """
-        limit = len(self.universe) if max_size is None else max_size
+        flips = [(1 << r, self._below[r]) for r in ranks]
         out: dict[int, int] = {}
         for mask, coeff in state.items():
-            for r in ranks:
-                sign, flipped = self.left_multiply(mask, r)
-                if flipped.bit_count() > limit:
-                    continue
-                total = out.get(flipped, 0) + sign * coeff
+            for bit, below in flips:
+                flipped = mask ^ bit
+                step = -coeff if (below & mask).bit_count() & 1 else coeff
+                total = out.get(flipped, 0) + step
                 if total:
                     out[flipped] = total
                 else:
@@ -262,10 +268,14 @@ def moment_s_word(
     The sum for (vertex v, spin 1) averages the hopping operators with
     even indices 0, 2, ..., 2N-2 and spin 2 the odd ones, each scaled by
     1/sqrt(N); the trace of a length-n product is therefore an integer
-    over N^(n/2).  Operators are applied to the vacuum as sparse vectors,
-    pruning subsets too large to empty out in the remaining steps; the
-    raw count N^n must stay within the budget.  The algebra spans only the
-    word's vertices, the only ones whose slots are ever occupied.
+    over N^(n/2).  The universe holds only the slots of the word's own
+    labels: the even indices of a vertex that occurs with spin 1, the odd
+    ones of a vertex that occurs with spin 2.  Every hopping sum is a
+    real symmetric signed permutation, so the vacuum entry of B_1...B_n
+    is the inner product of B_h...B_1|0> and B_(h+1)...B_n|0> with
+    h = n/2: each half is applied to the vacuum as a sparse vector, and
+    neither half grows past h generators, so no term needs pruning.  The
+    raw count N^n must stay within the budget.
     """
     graph = signs.graph
     validate_labeled_word(graph, word)
@@ -273,12 +283,19 @@ def moment_s_word(
     length = len(word)
     if length % 2:
         return Fraction(0)
-    algebra = SpinAlgebra(signs, 2 * n, {v for v, _ in word})
-    state = {0: 1}
-    for step, (v, spin) in enumerate(reversed(word), start=1):
-        ranks = [algebra.rank(2 * i + spin - 1, v) for i in range(n)]
-        state = algebra.apply_b(state, *ranks, max_size=length - step)
-    return Fraction(state.get(0, 0), n ** (length // 2))
+    slots: dict[str, set[int]] = {}
+    for v, spin in word:
+        slots.setdefault(v, set()).update(range(spin - 1, 2 * n, 2))
+    algebra = SpinAlgebra(signs, slots)
+    sums = [[algebra.rank(i, v) for i in range(spin - 1, 2 * n, 2)] for v, spin in word]
+    half = length // 2
+    left = right = {0: 1}
+    for ranks in sums[:half]:
+        left = algebra.apply_b(left, *ranks)
+    for ranks in reversed(sums[half:]):
+        right = algebra.apply_b(right, *ranks)
+    trace = sum(coeff * right.get(mask, 0) for mask, coeff in left.items())
+    return Fraction(trace, n**half)
 
 
 def sign_table(signs: SignFunction, n_indices: int) -> list[dict]:
@@ -286,7 +303,7 @@ def sign_table(signs: SignFunction, n_indices: int) -> list[dict]:
     algebra = SpinAlgebra(signs, n_indices)
     universe = algebra.universe
     return [
-        {"i": i, "v": v, "j": j, "w": w, "sign": -1 if algebra._neg[a] >> b & 1 else 1}
+        {"i": i, "v": v, "j": j, "w": w, "sign": -1 if algebra._below[b] >> a & 1 else 1}
         for a, (i, v) in enumerate(universe)
         for b, (j, w) in enumerate(universe[a + 1 :], start=a + 1)
     ]

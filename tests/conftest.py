@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import settings
 
 from graphmoments import build_graph
 
@@ -31,6 +32,14 @@ def fixture_graphs():
         ),
         "random5": _random5(),
     }
+
+
+def replay(max_examples):
+    """Hypothesis settings that replay the same examples on every run:
+    derandomized, with no example database and no deadline."""
+    return settings(
+        derandomize=True, database=None, deadline=None, max_examples=max_examples
+    )
 
 
 def random_labeled_word(rng, graph, length):

@@ -280,6 +280,15 @@ def test_sweep_budget_is_inclusive(capsys, graph_files, argv, cap):
     assert run(capsys, argv + ["--max-iterations", str(cap - 1)])[0] == 3
 
 
+@pytest.mark.parametrize("p", ["1.5", "-0.5"])
+def test_compare_rejects_p_outside_unit_interval(capsys, graph_files, p):
+    # p is checked before the exact column turns it into theta = 2p - 1
+    argv = ["compare", "--word", "a:1 a:1", "--N-list", "2", "--seeds", "0", "--p", p]
+    code, out, err = run(capsys, argv + ["--graph", graph_files["single"]])
+    assert code == 2 and out == ""
+    assert err == f"graphmoments: invalid input: p must lie in [0, 1], got {float(p)}\n"
+
+
 def test_listing_cap_is_inclusive(capsys, graph_files, monkeypatch):
     # a^4 has 3 pairings; 2N = 4 indices on two vertices give C(8, 2) = 28 entries
     for argv, rows in (

@@ -12,12 +12,13 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from graphmoments.cli import main
+from tests.conftest import replay
 
-REPLAY = settings(derandomize=True, database=None, deadline=None, max_examples=400)
+REPLAY = replay(400)
 
 GRAPH_DOCS = {
     "edge2": {"vertices": ["a", "b"], "edges": [["a", "b"]]},

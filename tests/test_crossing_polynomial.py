@@ -11,7 +11,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from graphmoments import (
@@ -30,9 +30,9 @@ from graphmoments.fock import (
     canonical_basis_word,
 )
 from graphmoments.partitions import crossings
+from tests.conftest import replay
 
-# Derandomized, so every run replays the same examples bit for bit.
-REPLAY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+REPLAY = replay(150)
 
 
 @st.composite

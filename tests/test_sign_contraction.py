@@ -1,10 +1,13 @@
-"""Differential tests of the sign matrices and the t-estimate contraction
-against direct sign queries and a brute-force sum over index tuples."""
+"""Differential tests of the sign layer's consumers: the sign matrices
+against direct sign queries, the t-estimate contraction against a
+brute-force sum over index tuples, and the split matrix-model moment
+against one sweep over every index of every vertex."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from graphmoments import (
@@ -14,16 +17,18 @@ from graphmoments import (
     SeededSigns,
     SpinAlgebra,
     build_graph,
+    moment_s_word,
+    parse_labeled_word,
     t_estimate,
 )
+from tests.conftest import replay
 
-# Derandomized, so every run replays the same examples bit for bit.
-REPLAY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+REPLAY = replay(150)
 
 
 @st.composite
-def small_graphs(draw):
-    vertices = "abcd"[: draw(st.integers(1, 4))]
+def small_graphs(draw, max_vertices=4):
+    vertices = "abcd"[: draw(st.integers(1, max_vertices))]
     edges = [e for e in itertools.combinations(vertices, 2) if draw(st.booleans())]
     return build_graph(list(vertices), edges)
 
@@ -96,6 +101,22 @@ def test_sign_matrix_draws_each_pair_once():
             assert len(signs.queries) == len(canonical) == expected, (v, w, build)
 
 
+@pytest.mark.parametrize("v, w", [("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")])
+@pytest.mark.parametrize(
+    "indices, columns", [([0, 2, 4], [1, 3]), ([1, 3], [0, 2, 4]), ([], [1, 5]), ([3], [])]
+)
+def test_sign_rows_with_columns_equal_calls(v, w, indices, columns):
+    graph = build_graph(["a", "b", "c"], [("a", "c")])
+    signs = CountingSigns(graph)
+    rows = signs.rows(v, w, indices, columns)
+    assert len(signs.queries) == len(set(signs.queries)) == len(indices) * len(columns)
+    assert rows == [[signs(i, v, j, w) for j in columns] for i in indices]
+    transpose = [[row[b] for row in rows] for b in range(len(columns))]
+    assert signs.rows(w, v, columns, indices) == transpose
+    with pytest.raises(ValueError):
+        signs.rows(v, v, indices, [7, *columns])
+
+
 def test_spin_algebra_draws_no_adjacent_pair():
     # a-b is an edge, so only the pairs within a and within b are drawn
     graph = build_graph(["a", "b"], [("a", "b")])
@@ -158,3 +179,49 @@ def test_t_estimate_equals_brute_force(data):
     signs = data.draw(sign_functions(graph, n))
     expected = brute_force_t(signs, graph, tuple(word), partition.pairs, n)
     assert t_estimate(signs, graph, tuple(word), partition, n) == expected
+
+
+def full_sweep_moment(signs, word, n):
+    """The matrix-model moment by one right-to-left sweep over the universe
+    of every index below 2N on every vertex."""
+    if len(word) % 2:
+        return Fraction(0)
+    algebra = SpinAlgebra(signs, 2 * n)
+    state = {0: 1}
+    for v, spin in reversed(word):
+        state = algebra.apply_b(state, *(algebra.rank(2 * i + spin - 1, v) for i in range(n)))
+    return Fraction(state.get(0, 0), n ** (len(word) // 2))
+
+
+@REPLAY
+@given(st.data())
+def test_moment_s_word_equals_full_sweep(data):
+    graph = data.draw(small_graphs(max_vertices=3))
+    n = data.draw(st.sampled_from([1, 2, 4, 6]))
+    spins = [1] if n == 1 else [1, 2]
+    if data.draw(st.booleans()):  # one spin per vertex
+        spins = {v: [data.draw(st.sampled_from(spins))] for v in graph.vertices}
+    else:
+        spins = dict.fromkeys(graph.vertices, spins)
+    labels = [(v, spin) for v in graph.vertices for spin in spins[v]]
+    word = tuple(data.draw(st.lists(st.sampled_from(labels), max_size=8)))
+    signs = data.draw(sign_functions(graph, 2 * n))
+    assert moment_s_word(signs, word, n) == full_sweep_moment(signs, word, n)
+
+
+@pytest.mark.parametrize(
+    "vertices, word, n, slots, pairs",
+    [
+        # the even slots 0, 2, 4, 6 of a: C(4, 2) pairs, not C(8, 2) = 28
+        ("a", "a:1 a:1 a:1 a:1", 4, {(0, "a")}, 6),
+        # the even slots of a and the odd ones of b: N^2 + 2 C(N, 2), not C(16, 2)
+        ("ab", "a:1 b:2 a:1 b:2", 4, {(0, "a"), (1, "b")}, 28),
+    ],
+)
+def test_moment_s_word_draws_only_the_word_slots(vertices, word, n, slots, pairs):
+    signs = CountingSigns(build_graph(list(vertices)))
+    moment_s_word(signs, parse_labeled_word(word), n)
+    canonical = {(i, x, j, y) if (x, i) <= (y, j) else (j, y, i, x)
+                 for i, x, j, y in signs.queries}
+    assert len(signs.queries) == len(canonical) == pairs
+    assert all({(i % 2, v), (j % 2, w)} <= slots for i, v, j, w in signs.queries)

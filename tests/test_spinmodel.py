@@ -108,7 +108,7 @@ def test_commutation_relation(graphs):
             assert lhs == {m: sign * c for m, c in rhs.items()}
 
 
-def test_apply_b_several_ranks_is_filtered_sum(graphs):
+def test_apply_b_several_ranks_is_sum(graphs):
     rng = random.Random(53)
     for g in graphs.values():
         algebra = SpinAlgebra(SeededSigns(g, 0.5, 13), 4)
@@ -119,17 +119,13 @@ def test_apply_b_several_ranks_is_filtered_sum(graphs):
                 for _ in range(rng.randrange(1, 6))
             }
             ranks = [rng.randrange(size) for _ in range(rng.randrange(1, 5))]
-            max_size = rng.randrange(size + 1)
             expected = {}
             for r in ranks:
-                for mask, coeff in algebra.apply_b(state, r).items():
-                    if mask.bit_count() <= max_size:
-                        expected[mask] = expected.get(mask, 0) + coeff
+                for mask, coeff in state.items():
+                    sign, flipped = algebra.left_multiply(mask, r)
+                    expected[flipped] = expected.get(flipped, 0) + sign * coeff
             expected = {m: c for m, c in expected.items() if c}
-            assert algebra.apply_b(state, *ranks, max_size=max_size) == expected
-            assert algebra.apply_b(state, *ranks, max_size=size) == algebra.apply_b(
-                state, *ranks
-            )
+            assert algebra.apply_b(state, *ranks) == expected
 
 
 def test_vacuum_trace_examples(noedge2):
