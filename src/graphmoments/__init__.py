@@ -31,9 +31,7 @@ from .spinmodel import (
     moment_s_word,
 )
 from .words import (
-    Move,
     are_equivalent,
-    equivalence_class_oracle,
     format_word,
     is_reduced,
     normalize,
@@ -47,13 +45,11 @@ __all__ = [
     "build_graph",
     "graph_from_json",
     "load_graph",
-    "Move",
     "parse_word",
     "format_word",
     "is_reduced",
     "normalize",
     "are_equivalent",
-    "equivalence_class_oracle",
     "PairPartition",
     "parse_labeled_word",
     "format_labeled_word",

@@ -14,7 +14,7 @@ import re
 import sys
 
 from . import cltlab, fock, partitions, spinmodel, words
-from .errors import BudgetExceeded, GraphMomentsError
+from .errors import BudgetExceeded, DomainError, GraphMomentsError
 from .graph import SimplicialGraph, load_graph
 from .partitions import PairPartition
 
@@ -163,8 +163,10 @@ def _cmd_variance(graph: SimplicialGraph, args) -> None:
 
 
 def _cmd_sign_dump(graph: SimplicialGraph, args) -> None:
+    if args.N < 0:
+        raise DomainError(f"N must not be negative, got {args.N}")
     universe = 2 * args.N * len(graph.vertices)
-    _require_listable(math.comb(max(universe, 0), 2), "sign entries")
+    _require_listable(math.comb(universe, 2), "sign entries")
     signs = spinmodel.SeededSigns(graph, args.p, args.seed)
     doc = {
         "p": args.p,

@@ -25,14 +25,6 @@ class InvalidToken(GraphMomentsError, ValueError):
     """A vertex token, word or spin literal could not be parsed."""
 
 
-class MoveNotApplicable(GraphMomentsError, ValueError):
-    """The rewriting move's precondition fails on this word."""
-
-
-class IndexOutOfRange(GraphMomentsError, IndexError):
-    """A move position lies outside the word."""
-
-
 class MalformedPartition(GraphMomentsError, ValueError):
     """The pairs do not form a perfect matching of the word's positions."""
 

@@ -63,23 +63,12 @@ def vacuum() -> FockState:
     return {(): 1}
 
 
-def state_from_letters(graph: SimplicialGraph, letters, coeff: int = 1) -> FockState:
-    return {canonical_basis_word(graph, letters): coeff}
-
-
 def _accumulate(state: FockState, word: BasisWord, coeff: int) -> None:
     total = state.get(word, 0) + coeff
     if total:
         state[word] = total
     else:
         state.pop(word, None)
-
-
-def inner(left: FockState, right: FockState) -> int:
-    """Delta pairing of canonical basis words, extended bilinearly."""
-    if len(right) < len(left):
-        left, right = right, left
-    return sum(coeff * right.get(word, 0) for word, coeff in left.items())
 
 
 def _front(word: BasisWord, v: str, link: frozenset[str]) -> int:

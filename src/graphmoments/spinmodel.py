@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import struct
 from fractions import Fraction
-from itertools import accumulate
 
 from .errors import BudgetExceeded, DomainError, OddN
 from .graph import SimplicialGraph
@@ -49,37 +48,25 @@ class SignFunction:
             i, v, j, w = j, w, i, v
         return self._draw(i, v, j, w)
 
-    def rows(self, v: str, w: str, indices, columns=None) -> list[list[int]]:
-        """Signs between the ``indices`` of vertex v and the ``columns`` of w.
-
-        Returns the rows ``S[a][b] = self(indices[a], v, columns[b], w)``.
-        ``columns`` defaults to ``indices``, and a block with ``v == w`` is
-        square: its columns, if given, are its indices.  Each unordered generator pair is drawn once through
-        ``self``: for ``v == w`` the strict upper triangle is drawn and
-        mirrored, and the swapped orientation is the transpose of the
-        canonical one.
-        """
-        indices = list(indices)
-        columns = indices if columns is None else list(columns)
-        if w < v:
-            block = self.rows(w, v, columns, indices)
-            return [[row[a] for row in block] for a in range(len(indices))]
-        if v != w:
-            return [[self(i, v, j, w) for j in columns] for i in indices]
-        if columns != indices:
-            raise ValueError("a block with v == w takes no separate columns")
-        rows = [[-1] * len(indices) for _ in indices]  # a label against itself: -1
-        for a, i in enumerate(indices):
-            for b in range(a + 1, len(indices)):
-                rows[a][b] = rows[b][a] = self(i, v, indices[b], v)
-        return rows
-
     def matrix(self, v: str, w: str, indices):
-        """The sign rows of ``rows(v, w, indices)`` as an int8 numpy matrix."""
+        """Signs between the ``indices`` of vertex v and those of w.
+
+        Returns the int8 numpy matrix ``S[a, b] = self(indices[a], v,
+        indices[b], w)``.  Each unordered generator pair is drawn once: for
+        ``v == w`` the strict upper triangle is drawn and mirrored, with -1
+        on the diagonal (a label against itself).
+        """
         import numpy as np
 
-        rows = self.rows(v, w, indices)
-        return np.array(rows, dtype=np.int8).reshape(len(rows), len(rows))
+        indices = list(indices)
+        if v != w:
+            rows = [[self(i, v, j, w) for j in indices] for i in indices]
+        else:
+            rows = [[-1] * len(indices) for _ in indices]
+            for a, i in enumerate(indices):
+                for b in range(a + 1, len(indices)):
+                    rows[a][b] = rows[b][a] = self(i, v, indices[b], v)
+        return np.array(rows, dtype=np.int8).reshape(len(indices), len(indices))
 
     def _draw(self, i: int, v: str, j: int, w: str) -> int:
         raise NotImplementedError
@@ -153,48 +140,31 @@ class ExplicitSigns(SignFunction):
 class SpinAlgebra:
     """The generator algebra over a concrete index universe.
 
-    The universe holds the generators (i, v) of each vertex's index list,
-    in the linear order (vertex lexicographic, then index); subsets of it
-    are stored as bit masks over that order.  ``indices`` maps each vertex
-    to its index list, or is a count n, which gives every index below n to
-    each of ``vertices`` (default: every vertex of the graph).  A
-    reordering sign only involves occupied slots, so a caller that only
-    ever occupies some slots may leave the others out, which leaves every
-    product among the slots it keeps unchanged.  The signs of each slot
-    against the smaller ones are one bit mask, built from one block of
-    ``signs.rows`` per non-adjacent vertex pair (adjacent pairs are fixed
-    at +1), so a left multiplication is one popcount.
+    ``indices`` maps each vertex to its index list; the universe holds those
+    generators (i, v) in the linear order (vertex lexicographic, then
+    index), and subsets of it are bit masks over that order.  A reordering
+    sign only involves occupied slots, so a caller that only ever occupies
+    some slots may leave the others out, which leaves every product among
+    the slots it keeps unchanged.  The signs of each slot against the
+    smaller ones are one bit mask, so a left multiplication is one popcount;
+    that order is the canonical one, so each non-adjacent pair is drawn once
+    in canonical orientation (adjacent pairs are fixed at +1).
     """
 
-    def __init__(self, signs: SignFunction, indices, vertices=None):
+    def __init__(self, signs: SignFunction, indices):
         self.signs = signs
-        self.graph = signs.graph
-        if isinstance(indices, int):
-            if indices < 0:
-                raise DomainError(f"index count must not be negative, got {indices}")
-            if vertices is None:
-                vertices = self.graph.vertices
-            indices = dict.fromkeys(vertices, range(indices))
-        self.vertices = tuple(sorted(indices))
-        lists = [sorted(set(indices[v])) for v in self.vertices]
         self.universe: list[GeneratorIndex] = [
-            (i, v) for v, slots in zip(self.vertices, lists) for i in slots
+            (i, v) for v in sorted(indices) for i in sorted(set(indices[v]))
         ]
         self._rank = {gi: r for r, gi in enumerate(self.universe)}
-        offsets = list(accumulate(map(len, lists), initial=0))
-        below = [0] * len(self.universe)
-        for p, v in enumerate(self.vertices):
-            link = self.graph.link(v)
-            for q in range(p, len(self.vertices)):
-                if self.vertices[q] in link:  # adjacent: every sign is +1
-                    continue
-                block = signs.rows(v, self.vertices[q], lists[p], lists[q])
-                for a, row in enumerate(block):
-                    bit = 1 << (offsets[p] + a)
-                    for b in range(a + 1 if p == q else 0, len(row)):
-                        if row[b] < 0:
-                            below[offsets[q] + b] |= bit
-        self._below = below
+        links = {v: signs.graph.link(v) for v in indices}
+        self._below = []
+        for b, (j, w) in enumerate(self.universe):
+            below = 0
+            for a, (i, v) in enumerate(self.universe[:b]):
+                if v not in links[w] and signs(i, v, j, w) < 0:
+                    below |= 1 << a
+            self._below.append(below)
 
     def rank(self, i: int, v: str) -> int:
         try:
@@ -230,17 +200,6 @@ class SpinAlgebra:
                 else:
                     out.pop(flipped, None)
         return out
-
-    def vacuum_trace(self, ranks) -> int:
-        """Vacuum coefficient of a product of hopping operators: -1, 0 or +1."""
-        sign, mask = 1, 0
-        for r in reversed(tuple(ranks)):
-            step, mask = self.left_multiply(mask, r)
-            sign *= step
-        return sign if mask == 0 else 0
-
-    def vacuum_trace_labels(self, labels) -> int:
-        return self.vacuum_trace([self.rank(i, v) for i, v in labels])
 
 
 def check_summand_count(word: LabeledWord, n: int, budget: int) -> None:
@@ -299,11 +258,11 @@ def moment_s_word(
 
 
 def sign_table(signs: SignFunction, n_indices: int) -> list[dict]:
-    """Realized sign of every unordered generator pair in the universe."""
-    algebra = SpinAlgebra(signs, n_indices)
-    universe = algebra.universe
+    """Realized sign of every unordered pair of the generators (i, v) with
+    i below ``n_indices``, in the linear order of ``SpinAlgebra``."""
+    universe = [(i, v) for v in signs.graph.vertices for i in range(n_indices)]
     return [
-        {"i": i, "v": v, "j": j, "w": w, "sign": -1 if algebra._below[b] >> a & 1 else 1}
+        {"i": i, "v": v, "j": j, "w": w, "sign": signs(i, v, j, w)}
         for a, (i, v) in enumerate(universe)
-        for b, (j, w) in enumerate(universe[a + 1 :], start=a + 1)
+        for j, w in universe[a + 1 :]
     ]

@@ -387,19 +387,22 @@ def test_every_budget_flag_is_read(capsys, graph_files, argv, code):
 
 
 @pytest.mark.parametrize(
-    "doc, argv",
+    "doc, argv, says",
     [
-        ({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}, ["normalize", "--word", "a"]),
-        ({"vertices": ["a", "b"], "edges": ["ab"]}, ["normalize", "--word", "a"]),
-        ({"vertices": ["a", "b"], "edges": [["a", ["b"]]]}, ["normalize", "--word", "a"]),
-        ({"vertices": ["a", "b"], "edges": 5}, ["normalize", "--word", "a"]),
-        ({"vertices": "ab", "edges": []}, ["normalize", "--word", "a"]),
-        (SINGLE, VARIANCE + ["--M-list", "4,8", "--samples", "1"]),
-        (SINGLE, VARIANCE + ["--M-list", "0,2"]),
-        (SINGLE, T_ESTIMATE + ["--N", "0"]),
-        (SINGLE, T_ESTIMATE + ["--N", "-2"]),
-        (SINGLE, ["sign-dump", "--N", "-1"]),
-        ("[" * 100000 + "]" * 100000, ["normalize", "--word", "a"]),
+        ({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}, ["normalize", "--word", "a"],
+         "is not a pair of vertices"),
+        ({"vertices": ["a", "b"], "edges": ["ab"]}, ["normalize", "--word", "a"],
+         "is not a pair of vertices"),
+        ({"vertices": ["a", "b"], "edges": [["a", ["b"]]]}, ["normalize", "--word", "a"],
+         "is not a declared vertex"),
+        ({"vertices": ["a", "b"], "edges": 5}, ["normalize", "--word", "a"], "must be lists"),
+        ({"vertices": "ab", "edges": []}, ["normalize", "--word", "a"], "must be lists"),
+        (SINGLE, VARIANCE + ["--M-list", "4,8", "--samples", "1"], "got 1"),
+        (SINGLE, VARIANCE + ["--M-list", "0,2"], "got 0"),
+        (SINGLE, T_ESTIMATE + ["--N", "0"], "N must be positive, got 0"),
+        (SINGLE, T_ESTIMATE + ["--N", "-2"], "N must be positive, got -2"),
+        (SINGLE, ["sign-dump", "--N", "-1"], "N must not be negative, got -1"),
+        ("[" * 100000 + "]" * 100000, ["normalize", "--word", "a"], "nests too deeply"),
     ],
     ids=[
         "edge-of-three",
@@ -415,11 +418,12 @@ def test_every_budget_flag_is_read(capsys, graph_files, argv, code):
         "graph-nested-too-deeply",
     ],
 )
-def test_bad_input_exits_2_with_one_line(capsys, tmp_path, doc, argv):
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, doc, argv, says):
     path = tmp_path / "graph.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     code, out, err = run(capsys, argv + ["--graph", str(path)])
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("graphmoments: ")
+    assert says in err
     assert "Traceback" not in err

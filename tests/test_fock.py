@@ -9,10 +9,9 @@ from graphmoments.fock import (
     apply_create,
     apply_field,
     canonical_basis_word,
-    inner,
-    state_from_letters,
 )
 from tests.conftest import fixture_graphs, random_labeled_word
+from tests.oracles import inner, state_from_letters
 
 
 def random_basis_state(rng, graph, depth):

@@ -22,6 +22,7 @@ from graphmoments import (
     t_estimate,
 )
 from tests.conftest import replay
+from tests.oracles import every_index_algebra
 
 REPLAY = replay(150)
 
@@ -35,11 +36,13 @@ def small_graphs(draw, max_vertices=4):
 
 @st.composite
 def sign_functions(draw, graph, n):
-    kind = draw(st.sampled_from(["constant", "seeded", "explicit"]))
+    # Seeded signs, the only kind the CLI draws, are listed twice so that at
+    # least half of each test's examples use them, mostly at 0 < p < 1.
+    kind = draw(st.sampled_from(["seeded", "seeded", "constant", "explicit"]))
     if kind == "constant":
         return ConstantSigns(graph)
     if kind == "seeded":
-        p = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+        p = draw(st.sampled_from([0.5, 0.3, 0.0, 1.0]))
         return SeededSigns(graph, p, draw(st.integers(0, 1000)))
     labels = st.tuples(st.integers(0, n + 1), st.sampled_from(graph.vertices))
     table = {}
@@ -70,60 +73,63 @@ def test_sign_matrix_equals_calls(data):
     w = data.draw(st.sampled_from(graph.vertices))
     indices = data.draw(st.lists(st.integers(0, 6), max_size=6))
     matrix = signs.matrix(v, w, indices)
-    rows = signs.rows(v, w, indices)
     assert matrix.shape == (len(indices), len(indices))
-    assert rows == matrix.tolist()
     for a, i in enumerate(indices):
         for b, j in enumerate(indices):
-            assert rows[a][b] == matrix[a, b] == signs(i, v, j, w), (i, v, j, w)
+            assert matrix[a, b] == signs(i, v, j, w), (i, v, j, w)
 
 
-# The examples above seldom draw a seeded w < v block of two or more
-# indices, the one case that shows a missing transpose.
+# Seeded blocks in both orientations, on and off an edge, with a repeated
+# index: the examples above seldom draw a seeded w < v block of two or
+# more indices.
 @pytest.mark.parametrize("indices", [[], [3], [0, 1, 2, 5], [2, 2, 4]])
 @pytest.mark.parametrize("v, w", [("a", "b"), ("b", "a"), ("a", "a"), ("a", "c"), ("c", "a")])
 def test_sign_rows_equal_calls(v, w, indices):
     signs = SeededSigns(build_graph(["a", "b", "c"], [("a", "c")]), 0.5, 11)
-    rows = signs.rows(v, w, indices)
     matrix = signs.matrix(v, w, indices)
     assert matrix.shape == (len(indices), len(indices))
-    assert rows == matrix.tolist() == [[signs(i, v, j, w) for j in indices] for i in indices]
+    assert matrix.tolist() == [[signs(i, v, j, w) for j in indices] for i in indices]
 
 
 def test_sign_matrix_draws_each_pair_once():
     graph = build_graph(["a", "b", "c"], [("a", "c")])
     for v, w, expected in (("a", "b", 16), ("b", "a", 16), ("b", "b", 6), ("a", "c", 16)):
-        for build in (SeededSigns.rows, SeededSigns.matrix):
-            signs = CountingSigns(graph)
-            build(signs, v, w, range(4))
-            canonical = {(i, x, j, y) if (x, i) <= (y, j) else (j, y, i, x)
-                         for i, x, j, y in signs.queries}
-            assert len(signs.queries) == len(canonical) == expected, (v, w, build)
-
-
-@pytest.mark.parametrize("v, w", [("a", "b"), ("b", "a"), ("a", "c"), ("c", "a")])
-@pytest.mark.parametrize(
-    "indices, columns", [([0, 2, 4], [1, 3]), ([1, 3], [0, 2, 4]), ([], [1, 5]), ([3], [])]
-)
-def test_sign_rows_with_columns_equal_calls(v, w, indices, columns):
-    graph = build_graph(["a", "b", "c"], [("a", "c")])
-    signs = CountingSigns(graph)
-    rows = signs.rows(v, w, indices, columns)
-    assert len(signs.queries) == len(set(signs.queries)) == len(indices) * len(columns)
-    assert rows == [[signs(i, v, j, w) for j in columns] for i in indices]
-    transpose = [[row[b] for row in rows] for b in range(len(columns))]
-    assert signs.rows(w, v, columns, indices) == transpose
-    with pytest.raises(ValueError):
-        signs.rows(v, v, indices, [7, *columns])
+        signs = CountingSigns(graph)
+        signs.matrix(v, w, range(4))
+        canonical = {(i, x, j, y) if (x, i) <= (y, j) else (j, y, i, x)
+                     for i, x, j, y in signs.queries}
+        assert len(signs.queries) == len(canonical) == expected, (v, w)
 
 
 def test_spin_algebra_draws_no_adjacent_pair():
     # a-b is an edge, so only the pairs within a and within b are drawn
     graph = build_graph(["a", "b"], [("a", "b")])
     signs = CountingSigns(graph)
-    SpinAlgebra(signs, 32)
+    every_index_algebra(signs, 32)
     assert not any(graph.is_edge(v, w) for _, v, _, w in signs.queries)
     assert len(signs.queries) == len(set(signs.queries)) == 2 * 32 * 31 // 2
+
+
+def test_spin_algebra_draws_each_free_pair_once_canonically():
+    # path3 has the edges a-b and b-c, so only a-c and the pairs within one
+    # vertex are drawn: 2 * 3 + 1 + 0 + 3 pairs
+    graph = build_graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    signs = CountingSigns(graph)
+    algebra = SpinAlgebra(signs, {"a": [0, 2], "b": [1], "c": [0, 1, 3]})
+    universe = [(0, "a"), (2, "a"), (1, "b"), (0, "c"), (1, "c"), (3, "c")]
+    assert algebra.universe == universe
+    free = [
+        (i, v, j, w)
+        for a, (i, v) in enumerate(universe)
+        for j, w in universe[a + 1 :]
+        if {v, w} != {"a", "b"} and {v, w} != {"b", "c"}
+    ]
+    assert len(free) == 10
+    assert sorted(signs.queries) == sorted(free)
+    for b, (j, w) in enumerate(universe):
+        for a, (i, v) in enumerate(universe[:b]):
+            expected = (signs(i, v, j, w), 1 << a | 1 << b)
+            assert algebra.left_multiply(1 << a, b) == expected, (i, v, j, w)
 
 
 def test_t_estimate_draws_each_pair_once():
@@ -186,7 +192,7 @@ def full_sweep_moment(signs, word, n):
     of every index below 2N on every vertex."""
     if len(word) % 2:
         return Fraction(0)
-    algebra = SpinAlgebra(signs, 2 * n)
+    algebra = every_index_algebra(signs, 2 * n)
     state = {0: 1}
     for v, spin in reversed(word):
         state = algebra.apply_b(state, *(algebra.rank(2 * i + spin - 1, v) for i in range(n)))

@@ -5,25 +5,22 @@ import pytest
 from graphmoments import (
     are_equivalent,
     build_graph,
-    equivalence_class_oracle,
     format_word,
     is_reduced,
     normalize,
     parse_word,
 )
-from graphmoments.errors import (
-    BudgetExceeded,
-    IndexOutOfRange,
-    MoveNotApplicable,
-    UnknownVertex,
-)
-from graphmoments.words import (
+from graphmoments.errors import BudgetExceeded, UnknownVertex
+from graphmoments.words import reduce_word
+from tests.oracles import (
     CANCEL,
     SWAP,
+    IndexOutOfRange,
     Move,
+    MoveNotApplicable,
     applicable_moves,
     apply_move,
-    reduce_word,
+    equivalence_class_oracle,
 )
 
 
