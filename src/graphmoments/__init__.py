@@ -18,7 +18,6 @@ from .partitions import (
     count_gamma_admissible,
     crossing_polynomial,
     enumerate_pairings,
-    format_labeled_word,
     gamma_crossing_pairs,
     limit_moment,
     parse_labeled_word,
@@ -52,7 +51,6 @@ __all__ = [
     "are_equivalent",
     "PairPartition",
     "parse_labeled_word",
-    "format_labeled_word",
     "enumerate_pairings",
     "gamma_crossing_pairs",
     "crossing_polynomial",

@@ -225,32 +225,34 @@ def variance_sweep(
     word: Word,
     partition: PairPartition,
     m_list,
-    sample_count: int,
+    samples: int,
     p: float = 0.5,
     seed_base: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> VarianceSweepResult:
     """Empirical variance of the pairing-weight estimator as M grows.
 
-    Seeds are seed_base + 0 .. seed_base + sample_count - 1 so runs replay
+    Seeds are seed_base + 0 .. seed_base + samples - 1 so runs replay
     bit for bit.  The slope is a least-squares fit of log variance against
     log M, skipping zero variances; with fewer than 3 usable points the
     fit is degenerate and the slope is reported as exactly 0.  The budget
-    caps each estimate at M^(n/2), and the whole sweep at sample_count x
-    the sum of M^(n/2) over ``m_list``.
+    caps each estimate at M^(n/2), and the whole sweep at samples x the
+    sum of M^(n/2) over ``m_list``.
     """
-    if sample_count < 2:
-        raise DomainError(f"sample_count must be at least 2, got {sample_count}")
+    if samples < 2:
+        raise DomainError(f"samples must be at least 2, got {samples}")
     m_list, r = list(m_list), len(partition.pairs)
     if not m_list:
         return VarianceSweepResult((), 0.0, True)
     SeededSigns(graph, p, seed_base)  # p is rejected before the budget
     for m in m_list:
+        if m < 1:
+            raise DomainError(f"M must be positive, got {m}")
         _checked_pairs(graph, word, partition, m, budget)
-    total = sample_count * sum(m**r for m in m_list)
+    total = samples * sum(m**r for m in m_list)
     if total > budget:
         raise BudgetExceeded(
-            f"{sample_count} samples x sum of M^{r} = {total} exceeds the budget {budget}"
+            f"{samples} samples x sum of M^{r} = {total} exceeds the budget {budget}"
         )
     import numpy as np
 
@@ -258,9 +260,9 @@ def variance_sweep(
     for m in m_list:
         values = [
             t_estimate(SeededSigns(graph, p, seed_base + k), graph, word, partition, m, budget)
-            for k in range(sample_count)
+            for k in range(samples)
         ]
-        rows.append(VarianceRow(m, sample_count, float(np.var(values, ddof=1))))
+        rows.append(VarianceRow(m, samples, float(np.var(values, ddof=1))))
     points = [(row.m, row.variance) for row in rows if row.variance > 0.0]
     if len(points) < 3:
         return VarianceSweepResult(tuple(rows), 0.0, True)

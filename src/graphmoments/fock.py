@@ -20,7 +20,6 @@ from collections import Counter
 from itertools import groupby
 from operator import itemgetter
 
-from .errors import InvalidToken
 from .graph import SimplicialGraph
 from .partitions import (
     DEFAULT_MAX_WORD_LEN,
@@ -28,7 +27,7 @@ from .partitions import (
     Letter,
     validate_labeled_word,
 )
-from .words import is_reduced, normal_form_order
+from .words import normal_form_order
 
 BasisWord = tuple[Letter, ...]
 FockState = dict[BasisWord, int]
@@ -40,22 +39,6 @@ def _canonical(graph: SimplicialGraph, letters: BasisWord) -> BasisWord:
     blocks = [tuple(block) for _, block in groupby(letters, itemgetter(0))]
     order = normal_form_order(graph, [block[0][0] for block in blocks])
     return tuple(letter for k in order for letter in blocks[k])
-
-
-def canonical_basis_word(graph: SimplicialGraph, letters) -> BasisWord:
-    """Validate a letter sequence as a basis word and canonicalize it.
-
-    Raises InvalidToken (a ValueError) when the collapsed vertex word is not
-    reduced, i.e. the letters do not name a Fock basis vector.
-    """
-    letters = tuple(letters)
-    validate_labeled_word(graph, letters)
-    collapsed = tuple(v for v, _ in groupby(letters, itemgetter(0)))
-    if not is_reduced(graph, collapsed):
-        raise InvalidToken(
-            f"letters {letters!r} collapse to a non-reduced word {collapsed!r}"
-        )
-    return _canonical(graph, letters)
 
 
 def vacuum() -> FockState:

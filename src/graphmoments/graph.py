@@ -1,5 +1,5 @@
 """Simplicial graphs: finite vertex sets, undirected loop-free edges, and
-the link/star adjacency queries every other module relies on.
+the link and edge queries every other module relies on.
 
 Vertices are plain string tokens.  Their lexicographic order is the one
 canonical order used everywhere (word normal forms, generator indexing),
@@ -57,10 +57,6 @@ class SimplicialGraph:
         """Neighbors of v."""
         self.require_vertex(v)
         return self.adjacency[v]
-
-    def star(self, v: str) -> frozenset[str]:
-        """Neighbors of v together with v itself."""
-        return self.link(v) | {v}
 
     def to_json(self) -> dict:
         return {

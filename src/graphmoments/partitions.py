@@ -52,10 +52,6 @@ def parse_labeled_word(text: str) -> LabeledWord:
     return tuple(letters)
 
 
-def format_labeled_word(word: LabeledWord) -> str:
-    return " ".join(f"{v}:{s}" for v, s in word)
-
-
 def validate_labeled_word(
     graph: SimplicialGraph, word: LabeledWord, max_len: int | None = None
 ) -> None:

@@ -32,8 +32,10 @@ class SignFunction:
 
     The fixed rules hold for every subclass: a label against itself gives
     -1, labels of adjacent vertices give +1, and the value is symmetric in
-    its two arguments.  Subclasses only decide the free entries, queried
-    in the canonical (vertex, index) order.
+    its two arguments.  Subclasses only decide the free entries, one row at
+    a time: ``_row(i, v, later)`` gives the signs of (i, v) against each
+    (j, w) of ``later``, which the caller guarantees come after (i, v) in
+    the canonical (vertex, index) order and lie on no edge of v.
     """
 
     def __init__(self, graph: SimplicialGraph):
@@ -46,46 +48,64 @@ class SignFunction:
             return -1
         if (w, j) < (v, i):
             i, v, j, w = j, w, i, v
-        return self._draw(i, v, j, w)
+        return self._row(i, v, [(j, w)])[0]
 
     def matrix(self, v: str, w: str, indices):
         """Signs between the ``indices`` of vertex v and those of w.
 
         Returns the int8 numpy matrix ``S[a, b] = self(indices[a], v,
         indices[b], w)``.  Each unordered generator pair is drawn once: for
-        ``v == w`` the strict upper triangle is drawn and mirrored, with -1
-        on the diagonal (a label against itself).
+        ``v == w`` the strict upper triangle over the distinct indices is
+        drawn and mirrored, with -1 on the diagonal (a label against
+        itself); for ``w < v`` the rows of w are drawn and transposed.
         """
         import numpy as np
 
         indices = list(indices)
+        n = len(indices)
+        if self.graph.is_edge(v, w):  # validates both vertices
+            return np.ones((n, n), dtype=np.int8)
         if v != w:
-            rows = [[self(i, v, j, w) for j in indices] for i in indices]
-        else:
-            rows = [[-1] * len(indices) for _ in indices]
-            for a, i in enumerate(indices):
-                for b in range(a + 1, len(indices)):
-                    rows[a][b] = rows[b][a] = self(i, v, indices[b], v)
-        return np.array(rows, dtype=np.int8).reshape(len(indices), len(indices))
+            x, y = sorted((v, w))
+            square = np.array(
+                [self._row(i, x, [(j, y) for j in indices]) for i in indices],
+                dtype=np.int8,
+            ).reshape(n, n)
+            return square if v < w else square.T
+        distinct = sorted(set(indices))
+        rows = [[-1] * len(distinct) for _ in distinct]
+        for a, i in enumerate(distinct):
+            later = [(j, v) for j in distinct[a + 1 :]]
+            for b, sign in enumerate(self._row(i, v, later), a + 1):
+                rows[a][b] = rows[b][a] = sign
+        square = np.array(rows, dtype=np.int8).reshape(len(distinct), len(distinct))
+        if distinct == indices:
+            return square
+        position = {i: a for a, i in enumerate(distinct)}
+        gather = [position[i] for i in indices]
+        return square[np.ix_(gather, gather)]
 
-    def _draw(self, i: int, v: str, j: int, w: str) -> int:
+    def _row(self, i: int, v: str, later: list[GeneratorIndex]) -> list[int]:
         raise NotImplementedError
 
 
 class ConstantSigns(SignFunction):
     """All free entries +1: fully commuting generators."""
 
-    def _draw(self, i, v, j, w):
-        return 1
+    def _row(self, i, v, later):
+        return [1] * len(later)
 
 
 class SeededSigns(SignFunction):
     """Counter-based random signs: +1 with probability p, independently.
 
-    The value of a pair is a keyed 64-bit hash of its canonical encoding,
-    so it is reproducible and independent of query order.  Nothing is
-    stored: a pair queried twice is hashed twice, and every consumer in
-    this package draws each pair at most once per call.
+    The value of a pair is a keyed 64-bit hash of its canonical encoding
+    ``"{v}:{i}|{w}:{j}"``, so it is reproducible and independent of query
+    order.  A row shares one keyed hash state that has taken the prefix
+    ``"{v}:{i}|"``; each draw copies it and hashes only ``"{w}:{j}"``, so
+    the bytes hashed are those of the whole encoding.  Nothing is stored:
+    a pair queried twice is hashed twice, and every consumer in this
+    package draws each pair at most once per call.
     """
 
     def __init__(self, graph: SimplicialGraph, p: float = 0.5, seed: int = 0):
@@ -94,14 +114,26 @@ class SeededSigns(SignFunction):
             raise DomainError(f"p must lie in [0, 1], got {p}")
         self.p = p
         self.seed = seed
-        self._key = struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
-        self._threshold = int(p * 2.0**64)
+        self._hash = hashlib.blake2b(
+            digest_size=8, key=struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
+        )
+        # +1 when the big-endian digest lies below p * 2^64; at p = 1 that
+        # bound, 2^64, has no 8-byte form and every sign is +1.
+        threshold = int(p * 2.0**64)
+        self._threshold = threshold.to_bytes(8, "big") if threshold < 2**64 else None
 
-    def _draw(self, i, v, j, w):
-        digest = hashlib.blake2b(
-            f"{v}:{i}|{w}:{j}".encode(), digest_size=8, key=self._key
-        ).digest()
-        return 1 if int.from_bytes(digest, "big") < self._threshold else -1
+    def _row(self, i, v, later):
+        if self._threshold is None:
+            return [1] * len(later)
+        prefix = self._hash.copy()
+        prefix.update(f"{v}:{i}|".encode())
+        threshold = self._threshold
+        signs = []
+        for j, w in later:
+            h = prefix.copy()
+            h.update(f"{w}:{j}".encode())
+            signs.append(1 if h.digest() < threshold else -1)
+        return signs
 
 
 class ExplicitSigns(SignFunction):
@@ -133,8 +165,8 @@ class ExplicitSigns(SignFunction):
                 i, v, j, w = j, w, i, v
             self._table[(i, v, j, w)] = sign
 
-    def _draw(self, i, v, j, w):
-        return self._table.get((i, v, j, w), self.default)
+    def _row(self, i, v, later):
+        return [self._table.get((i, v, j, w), self.default) for j, w in later]
 
 
 class SpinAlgebra:
@@ -153,18 +185,22 @@ class SpinAlgebra:
 
     def __init__(self, signs: SignFunction, indices):
         self.signs = signs
+        links = {v: signs.graph.link(v) for v in indices}  # validates them
         self.universe: list[GeneratorIndex] = [
             (i, v) for v in sorted(indices) for i in sorted(set(indices[v]))
         ]
         self._rank = {gi: r for r, gi in enumerate(self.universe)}
-        links = {v: signs.graph.link(v) for v in indices}
-        self._below = []
-        for b, (j, w) in enumerate(self.universe):
-            below = 0
-            for a, (i, v) in enumerate(self.universe[:b]):
-                if v not in links[w] and signs(i, v, j, w) < 0:
-                    below |= 1 << a
-            self._below.append(below)
+        self._below = [0] * len(self.universe)
+        for a, (i, v) in enumerate(self.universe):
+            link = links[v]
+            later = [
+                r for r in range(a + 1, len(self.universe))
+                if self.universe[r][1] not in link
+            ]
+            row = signs._row(i, v, [self.universe[r] for r in later])
+            for r, sign in zip(later, row):
+                if sign < 0:
+                    self._below[r] |= 1 << a
 
     def rank(self, i: int, v: str) -> int:
         try:

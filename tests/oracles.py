@@ -3,21 +3,32 @@
 Each is deliberately the slow, direct form of what it checks: single
 rewriting moves and their breadth-first closure for ``words.normalize``,
 the delta pairing of Fock states for the creation/annihilation adjoint,
-and the vacuum coefficient of a product of generators taken one left
-multiplication at a time for ``SpinAlgebra``.  They do not call the
-kernels they certify (``test_oracles_are_independent`` checks that).
+the vacuum coefficient of a product of generators taken one left
+multiplication at a time for ``SpinAlgebra``, and one whole-string hash
+per pair for the seeded signs.  They do not call the kernels they certify
+(``test_oracles_are_independent`` checks that).
 """
 
 from __future__ import annotations
 
+import hashlib
+import struct
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
-from graphmoments.errors import BudgetExceeded, DomainError, GraphMomentsError
-from graphmoments.fock import FockState, canonical_basis_word
+from graphmoments.errors import (
+    BudgetExceeded,
+    DomainError,
+    GraphMomentsError,
+    InvalidToken,
+)
+from graphmoments.fock import BasisWord, FockState, _canonical
 from graphmoments.graph import SimplicialGraph
-from graphmoments.spinmodel import SignFunction, SpinAlgebra
-from graphmoments.words import Word
+from graphmoments.partitions import validate_labeled_word
+from graphmoments.spinmodel import SpinAlgebra
+from graphmoments.words import Word, is_reduced
 
 CANCEL = "cancel"
 SWAP = "swap"
@@ -115,6 +126,22 @@ def equivalence_class_oracle(
     return frozenset(seen)
 
 
+def canonical_basis_word(graph: SimplicialGraph, letters) -> BasisWord:
+    """Validate a letter sequence as a basis word and canonicalize it.
+
+    Raises InvalidToken (a ValueError) when the collapsed vertex word is not
+    reduced, i.e. the letters do not name a Fock basis vector.
+    """
+    letters = tuple(letters)
+    validate_labeled_word(graph, letters)
+    collapsed = tuple(v for v, _ in groupby(letters, itemgetter(0)))
+    if not is_reduced(graph, collapsed):
+        raise InvalidToken(
+            f"letters {letters!r} collapse to a non-reduced word {collapsed!r}"
+        )
+    return _canonical(graph, letters)
+
+
 def state_from_letters(graph: SimplicialGraph, letters, coeff: int = 1) -> FockState:
     return {canonical_basis_word(graph, letters): coeff}
 
@@ -126,8 +153,9 @@ def inner(left: FockState, right: FockState) -> int:
     return sum(coeff * right.get(word, 0) for word, coeff in left.items())
 
 
-def every_index_algebra(signs: SignFunction, n: int) -> SpinAlgebra:
-    """The algebra over every index below n on every vertex of the graph."""
+def every_index_algebra(signs, n: int) -> SpinAlgebra:
+    """The algebra over every index below n on every vertex of the graph of
+    the sign function ``signs``."""
     return SpinAlgebra(signs, dict.fromkeys(signs.graph.vertices, range(n)))
 
 
@@ -142,3 +170,17 @@ def vacuum_trace(algebra: SpinAlgebra, ranks) -> int:
 
 def vacuum_trace_labels(algebra: SpinAlgebra, labels) -> int:
     return vacuum_trace(algebra, [algebra.rank(i, v) for i, v in labels])
+
+
+def seeded_sign(graph: SimplicialGraph, p: float, seed: int, i, v, j, w) -> int:
+    """The seeded sign of generators (i, v) and (j, w), hashing the whole
+    canonical pair string with the seed's key in one call."""
+    if w in graph.adjacency[v]:
+        return 1
+    if (i, v) == (j, w):
+        return -1
+    if (w, j) < (v, i):
+        i, v, j, w = j, w, i, v
+    key = struct.pack("<Q", seed & 2**64 - 1)
+    digest = hashlib.blake2b(f"{v}:{i}|{w}:{j}".encode(), digest_size=8, key=key)
+    return 1 if int.from_bytes(digest.digest(), "big") < int(p * 2**64) else -1

@@ -397,8 +397,9 @@ def test_every_budget_flag_is_read(capsys, graph_files, argv, code):
          "is not a declared vertex"),
         ({"vertices": ["a", "b"], "edges": 5}, ["normalize", "--word", "a"], "must be lists"),
         ({"vertices": "ab", "edges": []}, ["normalize", "--word", "a"], "must be lists"),
-        (SINGLE, VARIANCE + ["--M-list", "4,8", "--samples", "1"], "got 1"),
-        (SINGLE, VARIANCE + ["--M-list", "0,2"], "got 0"),
+        (SINGLE, VARIANCE + ["--M-list", "4,8", "--samples", "1"],
+         "samples must be at least 2, got 1"),
+        (SINGLE, VARIANCE + ["--M-list", "0,2"], "M must be positive, got 0"),
         (SINGLE, T_ESTIMATE + ["--N", "0"], "N must be positive, got 0"),
         (SINGLE, T_ESTIMATE + ["--N", "-2"], "N must be positive, got -2"),
         (SINGLE, ["sign-dump", "--N", "-1"], "N must not be negative, got -1"),

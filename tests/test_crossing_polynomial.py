@@ -23,14 +23,10 @@ from graphmoments import (
     vacuum,
     vacuum_moment,
 )
-from graphmoments.fock import (
-    apply_annihilate,
-    apply_create,
-    apply_field,
-    canonical_basis_word,
-)
+from graphmoments.fock import apply_annihilate, apply_create, apply_field
 from graphmoments.partitions import crossings
 from tests.conftest import replay
+from tests.oracles import canonical_basis_word
 
 REPLAY = replay(150)
 

@@ -4,14 +4,9 @@ import pytest
 
 from graphmoments import build_graph, count_gamma_admissible, vacuum, vacuum_moment
 from graphmoments.errors import InvalidToken, SizeLimit, UnknownVertex
-from graphmoments.fock import (
-    apply_annihilate,
-    apply_create,
-    apply_field,
-    canonical_basis_word,
-)
+from graphmoments.fock import apply_annihilate, apply_create, apply_field
 from tests.conftest import fixture_graphs, random_labeled_word
-from tests.oracles import inner, state_from_letters
+from tests.oracles import canonical_basis_word, inner, state_from_letters
 
 
 def random_basis_state(rng, graph, depth):

@@ -45,11 +45,10 @@ def test_bad_token_rejected():
         build_graph([""])
 
 
-def test_link_and_star(graphs):
+def test_link(graphs):
     p3 = graphs["path3"]
     assert p3.link("b") == {"a", "c"}
     assert p3.link("a") == {"b"}
-    assert p3.star("a") == {"a", "b"}
     assert build_graph(["a", "b"]).link("a") == frozenset()
 
 

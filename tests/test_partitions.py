@@ -8,7 +8,6 @@ from graphmoments import (
     build_graph,
     count_gamma_admissible,
     enumerate_pairings,
-    format_labeled_word,
     gamma_crossing_pairs,
     limit_moment,
     parse_labeled_word,
@@ -33,7 +32,6 @@ def catalan(r):
 def test_parse_labeled_word():
     assert parse_labeled_word("a:1 b:2 a") == (("a", 1), ("b", 2), ("a", 1))
     assert parse_labeled_word("") == ()
-    assert format_labeled_word((("a", 1), ("b", 2))) == "a:1 b:2"
     with pytest.raises(InvalidToken):
         parse_labeled_word("a:3")
     with pytest.raises(InvalidToken):

@@ -21,15 +21,16 @@ from graphmoments import (
     parse_labeled_word,
     t_estimate,
 )
+from graphmoments.errors import UnknownVertex
 from tests.conftest import replay
-from tests.oracles import every_index_algebra
+from tests.oracles import every_index_algebra, seeded_sign
 
 REPLAY = replay(150)
 
 
 @st.composite
-def small_graphs(draw, max_vertices=4):
-    vertices = "abcd"[: draw(st.integers(1, max_vertices))]
+def small_graphs(draw, max_vertices=4, min_vertices=1):
+    vertices = "abcd"[: draw(st.integers(min_vertices, max_vertices))]
     edges = [e for e in itertools.combinations(vertices, 2) if draw(st.booleans())]
     return build_graph(list(vertices), edges)
 
@@ -53,15 +54,17 @@ def sign_functions(draw, graph, n):
 
 
 class CountingSigns(SeededSigns):
-    """Seeded signs that record every query made through ``__call__``."""
+    """Seeded signs that record every pair drawn through ``_row``."""
 
     def __init__(self, graph):
         super().__init__(graph, 0.5, 7)
         self.queries = []
 
-    def __call__(self, i, v, j, w):
-        self.queries.append((i, v, j, w))
-        return super().__call__(i, v, j, w)
+    def _row(self, i, v, later):
+        for j, w in later:  # the row contract: later labels, no edge of v
+            assert (v, i) < (w, j) and not self.graph.is_edge(v, w), (i, v, j, w)
+        self.queries += [(i, v, j, w) for j, w in later]
+        return super()._row(i, v, later)
 
 
 @REPLAY
@@ -80,20 +83,69 @@ def test_sign_matrix_equals_calls(data):
 
 
 # Seeded blocks in both orientations, on and off an edge, with a repeated
-# index: the examples above seldom draw a seeded w < v block of two or
-# more indices.
-@pytest.mark.parametrize("indices", [[], [3], [0, 1, 2, 5], [2, 2, 4]])
+# index and an unsorted one: the examples above seldom draw a seeded w < v
+# block of two or more indices.
+@pytest.mark.parametrize("indices", [[], [3], [0, 1, 2, 5], [2, 2, 4], [5, 0, 3, 0]])
 @pytest.mark.parametrize("v, w", [("a", "b"), ("b", "a"), ("a", "a"), ("a", "c"), ("c", "a")])
 def test_sign_rows_equal_calls(v, w, indices):
-    signs = SeededSigns(build_graph(["a", "b", "c"], [("a", "c")]), 0.5, 11)
+    graph = build_graph(["a", "b", "c"], [("a", "c")])
+    signs = SeededSigns(graph, 0.5, 11)
     matrix = signs.matrix(v, w, indices)
     assert matrix.shape == (len(indices), len(indices))
     assert matrix.tolist() == [[signs(i, v, j, w) for j in indices] for i in indices]
+    expected = [[seeded_sign(graph, 0.5, 11, i, v, j, w) for j in indices] for i in indices]
+    assert matrix.tolist() == expected
+
+
+@REPLAY
+@given(st.data())
+def test_seeded_rows_equal_whole_string_hash(data):
+    graph = data.draw(small_graphs(min_vertices=2))
+    p = data.draw(st.sampled_from([0.5, 0.3, 0.75, 0.0, 1.0]))
+    seed = data.draw(
+        st.one_of(st.integers(-(2**70), -1), st.integers(2**64, 2**70), st.integers(0, 99))
+    )
+    signs = SeededSigns(graph, p, seed)
+
+    def oracle(i, v, j, w):
+        return seeded_sign(graph, p, seed, i, v, j, w)
+
+    # index lists with gaps, repeats and any order; SpinAlgebra sorts them
+    indices = {
+        v: data.draw(st.lists(st.integers(0, 9), max_size=4))
+        for v in data.draw(st.sets(st.sampled_from(graph.vertices), min_size=1))
+    }
+    algebra = SpinAlgebra(signs, indices)
+    below = [0] * len(algebra.universe)
+    for b, (j, w) in enumerate(algebra.universe):
+        for a, (i, v) in enumerate(algebra.universe[:b]):
+            if oracle(i, v, j, w) < 0:
+                below[b] |= 1 << a
+    assert algebra._below == below
+
+    v = data.draw(st.sampled_from(graph.vertices))
+    w = data.draw(st.sampled_from(graph.vertices[::-1]))
+    order = data.draw(st.lists(st.integers(0, 9), max_size=6))
+    expected = [[oracle(i, v, j, w) for j in order] for i in order]
+    assert signs.matrix(v, w, order).tolist() == expected
+
+
+def test_validation_stays_at_the_boundary():
+    signs = SeededSigns(build_graph(["a", "b"]), 0.5, 3)
+    with pytest.raises(UnknownVertex):
+        SpinAlgebra(signs, {"z": [0]})
+    with pytest.raises(UnknownVertex):
+        SpinAlgebra(signs, {"a": [0, 1], "z": []})
+    with pytest.raises(UnknownVertex):
+        signs.matrix("a", "z", range(2))
+    with pytest.raises(UnknownVertex):
+        signs.matrix("z", "z", range(2))
 
 
 def test_sign_matrix_draws_each_pair_once():
+    # a-c is an edge: its entries are fixed at +1 and none is drawn
     graph = build_graph(["a", "b", "c"], [("a", "c")])
-    for v, w, expected in (("a", "b", 16), ("b", "a", 16), ("b", "b", 6), ("a", "c", 16)):
+    for v, w, expected in (("a", "b", 16), ("b", "a", 16), ("b", "b", 6), ("a", "c", 0)):
         signs = CountingSigns(graph)
         signs.matrix(v, w, range(4))
         canonical = {(i, x, j, y) if (x, i) <= (y, j) else (j, y, i, x)
