@@ -5,11 +5,11 @@ A basis word is a sequence of (vertex, spin) letters in which letters of
 one vertex form contiguous blocks; collapsing each block to a single
 letter must leave a reduced word.  Words that differ only by swapping
 adjacent blocks of adjacent vertices name the same basis vector, so every
-word is stored in a canonical block order (lexicographically least, via
-greedy extraction of the smallest front-movable block).  The operators
-edit the canonical letter tuple in place and re-derive the block order
-only when a block appears or disappears; growing or shrinking a block
-leaves the collapsed word, hence the order, unchanged.  All inner
+word is stored in a canonical block order (lexicographically least, by
+the normal-form kernel of ``words``).  The operators edit the canonical
+letter tuple in place and re-derive the block order only when a block
+appears or disappears; growing or shrinking a block leaves the collapsed
+word, hence the order, unchanged.  All inner
 products in this model are 0 or 1, hence states are plain dictionaries
 mapping canonical words to integers and the whole module is float-free.
 """

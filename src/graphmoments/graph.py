@@ -58,12 +58,6 @@ class SimplicialGraph:
         self.require_vertex(v)
         return self.adjacency[v]
 
-    def to_json(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": sorted([list(e) for e in self.edges]),
-        }
-
 
 def build_graph(
     vertices: list[str] | tuple[str, ...],

@@ -208,21 +208,13 @@ class SpinAlgebra:
         except KeyError:
             raise DomainError(f"generator ({i}, {v!r}) outside the index universe")
 
-    def left_multiply(self, mask: int, r: int) -> tuple[int, int]:
-        """Multiply a basis subset by generator ``r`` from the left.
-
-        Returns the reordering sign (product of signs against occupied
-        smaller slots) and the toggled subset: the generator is inserted
-        when absent and cancelled when present.
-        """
-        sign = -1 if (self._below[r] & mask).bit_count() & 1 else 1
-        return sign, mask ^ (1 << r)
-
     def apply_b(self, state: dict[int, int], *ranks: int) -> dict[int, int]:
         """Sum of the hopping operators ``ranks`` applied to every term.
 
-        Each term is ``left_multiply`` written out, its sign masks looked up
-        once per call rather than once per term.
+        Each generator multiplies each term from the left: it toggles its
+        slot in the subset, and the reordering sign is the parity of the
+        occupied smaller slots it anticommutes with, one popcount against
+        its sign mask, which is looked up once per call.
         """
         flips = [(1 << r, self._below[r]) for r in ranks]
         out: dict[int, int] = {}

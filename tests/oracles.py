@@ -2,7 +2,9 @@
 
 Each is deliberately the slow, direct form of what it checks: single
 rewriting moves and their breadth-first closure for ``words.normalize``,
-the delta pairing of Fock states for the creation/annihilation adjoint,
+and for longer words a fixed-point reduction that rescans after every
+merge and a greedy extraction of the smallest front-movable letter; the
+delta pairing of Fock states for the creation/annihilation adjoint,
 the vacuum coefficient of a product of generators taken one left
 multiplication at a time for ``SpinAlgebra``, and one whole-string hash
 per pair for the seeded signs.  They do not call the kernels they certify
@@ -126,6 +128,63 @@ def equivalence_class_oracle(
     return frozenset(seen)
 
 
+def _mergeable_pair(graph: SimplicialGraph, word) -> tuple[int, int] | None:
+    """First pair i < j of equal letters with only Link letters between.
+
+    Unchecked: the letters must be vertices of the graph.  The scan right
+    of i stops at the first letter outside Link of word[i]; an equal letter
+    is outside its own link, so the first equal letter is the only partner.
+    """
+    adjacency = graph.adjacency
+    for i, v in enumerate(word):
+        link = adjacency[v]
+        for j in range(i + 1, len(word)):
+            if word[j] == v:
+                return i, j
+            if word[j] not in link:
+                break
+    return None
+
+
+def slow_reduce(graph: SimplicialGraph, word: Word) -> Word:
+    """Fixed-point cancellation: delete the partner of any mergeable pair.
+
+    A pair i < j with equal letters merges when every letter strictly
+    between lies in the common Link; deleting position j realizes the
+    cancel move after sliding the two letters together.  Terminates since
+    the length strictly decreases.
+    """
+    _validate(graph, word)
+    letters = list(word)
+    while (pair := _mergeable_pair(graph, letters)) is not None:
+        del letters[pair[1]]
+    return tuple(letters)
+
+
+def slow_normal_form(graph: SimplicialGraph, vertices) -> list[int]:
+    """Positions of a reduced vertex sequence, in normal-form order.
+
+    Greedy extraction of the smallest front-movable letter: the standard
+    lexicographic normal form of a trace monoid.  On a reduced sequence two
+    front-movable positions never carry the same vertex (they would merge).
+    Unchecked: the vertices must belong to the graph.
+    """
+    adjacency = graph.adjacency
+    remaining = list(range(len(vertices)))
+    order: list[int] = []
+    while remaining:
+        best = 0
+        for k in range(1, len(remaining)):
+            v = vertices[remaining[k]]
+            link = adjacency[v]
+            if all(vertices[q] in link for q in remaining[:k]):
+                assert v != vertices[remaining[best]], "twin front-movable letters"
+                if v < vertices[remaining[best]]:
+                    best = k
+        order.append(remaining.pop(best))
+    return order
+
+
 def canonical_basis_word(graph: SimplicialGraph, letters) -> BasisWord:
     """Validate a letter sequence as a basis word and canonicalize it.
 
@@ -159,11 +218,22 @@ def every_index_algebra(signs, n: int) -> SpinAlgebra:
     return SpinAlgebra(signs, dict.fromkeys(signs.graph.vertices, range(n)))
 
 
+def left_multiply(algebra: SpinAlgebra, mask: int, r: int) -> tuple[int, int]:
+    """Multiply a basis subset by generator ``r`` from the left.
+
+    Returns the reordering sign (product of signs against occupied smaller
+    slots, read from the algebra's sign masks) and the toggled subset: the
+    generator is inserted when absent and cancelled when present.
+    """
+    sign = -1 if (algebra._below[r] & mask).bit_count() & 1 else 1
+    return sign, mask ^ (1 << r)
+
+
 def vacuum_trace(algebra: SpinAlgebra, ranks) -> int:
     """Vacuum coefficient of a product of hopping operators: -1, 0 or +1."""
     sign, mask = 1, 0
     for r in reversed(tuple(ranks)):
-        step, mask = algebra.left_multiply(mask, r)
+        step, mask = left_multiply(algebra, mask, r)
         sign *= step
     return sign if mask == 0 else 0
 

@@ -1,4 +1,6 @@
+import itertools
 import json
+import time
 
 import pytest
 
@@ -307,6 +309,27 @@ def test_partitions_route_answers_a16(capsys, graph_files):
         "--graph", graph_files["single"], "--word", " ".join(["a:1"] * 16),
     ]
     assert run(capsys, argv)[:2] == (0, "1430\n")
+
+
+def test_word_commands_answer_long_words(capsys, graph_files, tmp_path):
+    # 20,000-letter words: the word kernel makes one pass over the word, so
+    # each answers well within the bound
+    path = tmp_path / "clique4e.json"
+    clique = [[v, w] for v, w in itertools.combinations("abcd", 2)]
+    path.write_text(json.dumps({"vertices": list("abcde"), "edges": clique}))
+    alternating = " ".join("ab" * 10000)
+    clique_then_run = " ".join("abcd" * 2500 + "e" * 10000)
+    for argv, answer in (
+        (["normalize", "--graph", graph_files["noedge2"], "--word", alternating],
+         alternating + "\n"),
+        (["normalize", "--graph", graph_files["edge2"], "--word", alternating], "a b\n"),
+        (["reduced", "--graph", str(path), "--word", clique_then_run], "false\n"),
+        (["equivalent", "--graph", str(path), "--word", clique_then_run,
+          "--word", "a b c d e"], "true\n"),
+    ):
+        start = time.perf_counter()
+        assert run(capsys, argv)[:2] == (0, answer), argv[0]
+        assert time.perf_counter() - start < 2.0, argv[0]
 
 
 def test_fock_and_partitions_always_agree(capsys, graph_files):

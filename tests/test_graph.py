@@ -78,13 +78,13 @@ def test_link_symmetry(graphs):
 
 def test_json_round_trip(graphs, tmp_path):
     for g in graphs.values():
-        doc = g.to_json()
+        doc = {"vertices": list(g.vertices), "edges": [list(e) for e in sorted(g.edges)]}
         assert graph_from_json(doc) == g
         # order of the vertices array must not matter
         doc["vertices"] = list(reversed(doc["vertices"]))
         assert graph_from_json(doc) == g
         path = tmp_path / "g.json"
-        path.write_text(json.dumps(g.to_json()))
+        path.write_text(json.dumps(doc))
         assert load_graph(str(path)) == g
 
 

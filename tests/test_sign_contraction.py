@@ -23,7 +23,7 @@ from graphmoments import (
 )
 from graphmoments.errors import UnknownVertex
 from tests.conftest import replay
-from tests.oracles import every_index_algebra, seeded_sign
+from tests.oracles import every_index_algebra, left_multiply, seeded_sign
 
 REPLAY = replay(150)
 
@@ -181,7 +181,7 @@ def test_spin_algebra_draws_each_free_pair_once_canonically():
     for b, (j, w) in enumerate(universe):
         for a, (i, v) in enumerate(universe[:b]):
             expected = (signs(i, v, j, w), 1 << a | 1 << b)
-            assert algebra.left_multiply(1 << a, b) == expected, (i, v, j, w)
+            assert left_multiply(algebra, 1 << a, b) == expected, (i, v, j, w)
 
 
 def test_t_estimate_draws_each_pair_once():

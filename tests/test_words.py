@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphmoments import (
     are_equivalent,
@@ -11,7 +14,8 @@ from graphmoments import (
     parse_word,
 )
 from graphmoments.errors import BudgetExceeded, UnknownVertex
-from graphmoments.words import reduce_word
+from graphmoments.words import normal_form_order
+from tests.conftest import replay
 from tests.oracles import (
     CANCEL,
     SWAP,
@@ -21,6 +25,8 @@ from tests.oracles import (
     applicable_moves,
     apply_move,
     equivalence_class_oracle,
+    slow_normal_form,
+    slow_reduce,
 )
 
 
@@ -169,9 +175,38 @@ def test_exhaustive_oracle_agreement_four_vertices(graphs):
         assert group == set(class_of[w]), w
 
 
-def test_is_reduced_iff_reduce_word_is_identity(graphs):
-    rng = random.Random(37)
-    for g in graphs.values():
-        for _ in range(200):
-            word = tuple(rng.choice(g.vertices) for _ in range(rng.randrange(0, 9)))
-            assert is_reduced(g, word) == (reduce_word(g, word) == word), word
+def test_reduced_iff_shortest_in_class(graphs):
+    # every word of length <= 5: reduced words are exactly the shortest ones
+    # of their class, and the normal form has that shortest length
+    for name in ("path3", "cycle4"):
+        g = graphs[name]
+        shortest = {}
+        for n in range(6):
+            for w in itertools.product(g.vertices, repeat=n):
+                if w not in shortest:
+                    members = equivalence_class_oracle(g, w, n)
+                    least = min(map(len, members))
+                    shortest.update((x, least) for x in members if len(x) == n)
+                assert is_reduced(g, w) == (len(w) == shortest[w]), (name, w)
+                assert len(normalize(g, w)) == shortest[w], (name, w)
+
+
+@st.composite
+def graphs_and_words(draw):
+    vertices = "abcdef"[: draw(st.integers(1, 6))]
+    edges = [e for e in itertools.combinations(vertices, 2) if draw(st.booleans())]
+    # the length is drawn first, or hypothesis keeps nearly every word short
+    n = draw(st.integers(0, 40))
+    word = draw(st.lists(st.sampled_from(vertices), min_size=n, max_size=n))
+    return build_graph(list(vertices), edges), tuple(word)
+
+
+@replay(300)
+@given(graphs_and_words())
+def test_kernel_equals_slow_reference(case):
+    g, word = case
+    reduced = slow_reduce(g, word)
+    order = slow_normal_form(g, reduced)
+    assert normalize(g, word) == tuple(reduced[k] for k in order)
+    assert is_reduced(g, word) == (reduced == word)
+    assert normal_form_order(g, reduced) == order
