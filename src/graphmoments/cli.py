@@ -84,11 +84,15 @@ def _require_listable(rows: int, what: str) -> None:
 
 def _cmd_partitions(graph: SimplicialGraph, args) -> None:
     word = partitions.parse_labeled_word(args.word)
-    count = sum(
-        partitions.crossing_polynomial(graph, word, args.match, args.max_word_len)
-    )
+    count = partitions.count_pairings(graph, word, args.match, args.max_word_len)
+    try:
+        text = str(count)
+    except ValueError:  # more digits than the interpreter converts
+        raise BudgetExceeded(
+            f"the pairing count has over {sys.get_int_max_str_digits()} digits"
+        ) from None
     if args.what == "count":
-        _emit(args, str(count), {"count": count})
+        _emit(args, text, {"count": count})
         return
     _require_listable(count, "pairings")
     pairings = partitions.enumerate_pairings(graph, word, args.match, args.max_word_len)

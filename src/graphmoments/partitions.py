@@ -6,9 +6,11 @@ pairing splits into all crossings and the graph crossings, those whose
 opener vertices are not adjacent.  Counting pairings without graph
 crossings gives the exact vacuum moment, and weighting each pairing by
 theta to the number of graph crossings gives the limit moment of the
-random-sign matrix models.  Both read one polynomial, the number of
-pairings by graph crossings, which a transfer DP computes without
-building a single pairing.
+random-sign matrix models.  One transfer DP counts pairings by graph
+crossings without building a single pairing, and each caller asks only
+for what it reads: counts take the DP cut to degree 0, totals take the
+closed form of ``count_pairings``, and only a limit moment at theta
+outside {0, 1} builds the whole polynomial.
 """
 
 from __future__ import annotations
@@ -215,6 +217,7 @@ def crossing_polynomial(
     word: LabeledWord,
     match: str = MATCH_LABEL,
     max_len: int = DEFAULT_MAX_WORD_LEN,
+    degree: int | None = None,
 ) -> list[int]:
     """Pairings counted by graph crossings: ``c[k]`` have exactly k of them.
 
@@ -227,10 +230,18 @@ def crossing_polynomial(
     vertex is not adjacent to k's.  Every state reached completes, and each
     pairing is one path.  The list is never empty: ``[0]`` when the word
     has no pairing.
+
+    With ``degree=d >= 0`` exactly ``c[0..d]`` is returned, zero-padded
+    where the polynomial is shorter: the scan over open arcs stops at the
+    first one past which a closing would add more than d graph crossings,
+    and every coefficient above ``x ** d`` is dropped.
     """
     validate_labeled_word(graph, word, max_len)
+    zero = [0] * (1 if degree is None else degree + 1)
     if len(word) % 2:
-        return [0]
+        return zero
+    if degree is None:
+        degree = len(word) ** 2  # more than any pairing's graph crossings
     keys = [_match_key((v, s), match) for v, s in word]
     vertex_of = {key: v for key, (v, _) in zip(keys, word)}
     ahead = Counter(keys)
@@ -244,19 +255,27 @@ def crossing_polynomial(
             after = 0  # arcs after index k that cross arc k
             for k in range(len(arcs) - 1, -1, -1):
                 if arcs[k] == key:
-                    _add_shifted(step, arcs[:k] + arcs[k + 1 :], poly, after)
-                after += vertex_of[arcs[k]] not in link
+                    _add_shifted(step, arcs[:k] + arcs[k + 1 :], poly, after, degree)
+                if vertex_of[arcs[k]] not in link:
+                    after += 1
+                    if after > degree:
+                        break
             if arcs.count(key) < ahead[key]:
-                _add_shifted(step, arcs + (key,), poly, 0)
+                _add_shifted(step, arcs + (key,), poly, 0, degree)
         states = step
-    return states.get((), [0])
+    poly = states.get((), [])
+    return poly + zero[len(poly) :]
 
 
-def _add_shifted(states: dict, arcs: tuple, poly: list[int], shift: int) -> None:
-    """Add x ** shift * poly to the polynomial of ``arcs``.
+def _add_shifted(
+    states: dict, arcs: tuple, poly: list[int], shift: int, degree: int
+) -> None:
+    """Add x ** shift * poly, cut above x ** degree, to the polynomial of ``arcs``.
 
     The first contribution is copied, since later ones are added in place.
     """
+    if shift + len(poly) > degree + 1:
+        poly = poly[: degree + 1 - shift]
     acc = states.get(arcs)
     if acc is None:
         states[arcs] = [0] * shift + poly
@@ -267,14 +286,43 @@ def _add_shifted(states: dict, arcs: tuple, poly: list[int], shift: int) -> None
         acc[k] += c
 
 
+def count_pairings(
+    graph: SimplicialGraph,
+    word: LabeledWord,
+    match: str = MATCH_LABEL,
+    max_len: int = DEFAULT_MAX_WORD_LEN,
+) -> int:
+    """Number of pairings matching equal labels, the crossing polynomial's sum.
+
+    The positions of each match key pair among themselves, so the count is
+    the product over keys of (m - 1)!! for a key met m times, and 0 when
+    some key is met an odd number of times.  The word is checked as the DP
+    checks it.
+    """
+    validate_labeled_word(graph, word, max_len)
+    if len(word) % 2:
+        return 0
+    total = 1
+    for m in Counter(_match_key(letter, match) for letter in word).values():
+        if m % 2:
+            return 0
+        for odd in range(m - 1, 1, -2):
+            total *= odd
+    return total
+
+
 def count_gamma_admissible(
     graph: SimplicialGraph,
     word: LabeledWord,
     match: str = MATCH_LABEL,
     max_len: int = DEFAULT_MAX_WORD_LEN,
 ) -> int:
-    """Number of pairings without graph crossings; 0 for odd length."""
-    return crossing_polynomial(graph, word, match, max_len)[0]
+    """Number of pairings without graph crossings; 0 for odd length.
+
+    The crossing DP cut to degree 0: an arc closes only when every arc
+    opened after it and still open is adjacent to its vertex.
+    """
+    return crossing_polynomial(graph, word, match, max_len, degree=0)[0]
 
 
 def limit_moment(
@@ -287,15 +335,29 @@ def limit_moment(
     """Sum of theta ** (number of graph crossings) over all pairings.
 
     theta is the sign bias p - q of the random-sign model; theta ** 0 is 1
-    even at theta = 0, so the value at 0 is the admissible-pairing count
-    and the value at 1 is the total pairing count.  The crossing polynomial
-    is evaluated exactly at the float theta and rounded once.
+    even at theta = 0, so the value at 0 (or -0.0) is the admissible-pairing
+    count, which the DP cut to degree 0 gives, and the value at 1 is the
+    total pairing count, which ``count_pairings`` gives in closed form.  At
+    any other theta the whole crossing polynomial is evaluated exactly at
+    the float theta and rounded once.  A value beyond the float range
+    raises ``SizeLimit``.
     """
     if not -1.0 <= theta <= 1.0:
         raise DomainError(f"theta must lie in [-1, 1], got {theta}")
-    coeffs = crossing_polynomial(graph, word, match, max_len)
-    # theta = p / q exactly, so sum c_k theta^k = sum c_k p^k q^(d-k) / q^d,
-    # and int / int rounds the exact quotient once.
-    p, q = theta.as_integer_ratio()
-    d = len(coeffs) - 1
-    return sum(c * p**k * q ** (d - k) for k, c in enumerate(coeffs)) / q**d
+    den = 1
+    if theta == 0.0:
+        num = crossing_polynomial(graph, word, match, max_len, degree=0)[0]
+    elif theta == 1.0:
+        num = count_pairings(graph, word, match, max_len)
+    else:
+        coeffs = crossing_polynomial(graph, word, match, max_len)
+        # theta = p / q exactly, so sum c_k theta^k = sum c_k p^k q^(d-k) / q^d,
+        # and int / int rounds the exact quotient once.
+        p, q = theta.as_integer_ratio()
+        d = len(coeffs) - 1
+        num = sum(c * p**k * q ** (d - k) for k, c in enumerate(coeffs))
+        den = q**d
+    try:
+        return num / den
+    except OverflowError:
+        raise SizeLimit("the limit moment exceeds the float range") from None

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from graphmoments import build_graph
 
@@ -40,6 +41,14 @@ def replay(max_examples):
     return settings(
         derandomize=True, database=None, deadline=None, max_examples=max_examples
     )
+
+
+@st.composite
+def small_graphs(draw, min_vertices=1, max_vertices=4):
+    """Graphs on the first k of the vertices a..f, each edge drawn alike."""
+    vertices = "abcdef"[: draw(st.integers(min_vertices, max_vertices))]
+    edges = [e for e in itertools.combinations(vertices, 2) if draw(st.booleans())]
+    return build_graph(list(vertices), edges)
 
 
 def random_labeled_word(rng, graph, length):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import time
 
 import pytest
@@ -309,6 +310,40 @@ def test_partitions_route_answers_a16(capsys, graph_files):
         "--graph", graph_files["single"], "--word", " ".join(["a:1"] * 16),
     ]
     assert run(capsys, argv)[:2] == (0, "1430\n")
+
+
+def test_pairing_route_reads_only_what_it_prints(capsys, tmp_path):
+    # h cycles a, b, c, d on the edges a-b and c-d: the whole crossing
+    # polynomial of h + h at length 40 takes about a minute, its
+    # coefficient c[0] a few milliseconds
+    path = tmp_path / "two_edges.json"
+    path.write_text(json.dumps({"vertices": list("abcd"), "edges": [["a", "b"], ["c", "d"]]}))
+    hh = ["--graph", str(path), "--word", " ".join("abcd" * 10), "--max-word-len", "40"]
+    # 400 letters over three labels: (200 - 1)!! (100 - 1)!! (100 - 1)!! pairings
+    word400 = " ".join(["a:1", "b:2", "a:1", "c:1"] * 100)
+    count400 = math.prod(range(1, 200, 2)) * math.prod(range(1, 100, 2)) ** 2
+    for argv, answer in (
+        (["moment", "--method", "partitions", *hh], "0\n"),
+        (["limit", "--theta", "0", *hh], "0.0\n"),
+        (["limit", "--theta", "-0.0", *hh], "0.0\n"),
+        (["partitions", "count", "--graph", str(path), "--word", word400,
+          "--max-word-len", "400"], f"{count400}\n"),
+    ):
+        start = time.perf_counter()
+        assert run(capsys, argv)[:2] == (0, answer), argv
+        assert time.perf_counter() - start < 1.0, argv
+
+
+def test_pairing_totals_beyond_what_prints_exit_3(capsys, graph_files):
+    # 3,000 letters a: 2999!! has over 4,300 digits, and is over the float range
+    word = " ".join(["a"] * 3000)
+    for argv, says in (
+        (["partitions", "count"], "the pairing count has over 4300 digits"),
+        (["partitions", "list"], "the pairing count has over 4300 digits"),
+        (["limit", "--theta", "1"], "the limit moment exceeds the float range"),
+    ):
+        argv += ["--graph", graph_files["single"], "--word", word, "--max-word-len", "3000"]
+        assert run(capsys, argv) == (3, "", f"graphmoments: budget exceeded: {says}\n")
 
 
 def test_word_commands_answer_long_words(capsys, graph_files, tmp_path):

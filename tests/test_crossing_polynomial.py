@@ -3,7 +3,8 @@ the Fock operators: pruning, and the canonical words they return.
 
 The DP is checked against the histogram of graph crossings over the
 enumerated pairings, against the Fock simulation, and on one vertex against
-the Touchard-Riordan crossing distribution.
+the Touchard-Riordan crossing distribution.  Its degree-cut form and the
+closed-form pairing count are checked against the full polynomial.
 """
 
 import itertools
@@ -24,31 +25,44 @@ from graphmoments import (
     vacuum_moment,
 )
 from graphmoments.fock import apply_annihilate, apply_create, apply_field
-from graphmoments.partitions import crossings
-from tests.conftest import replay
+from graphmoments.partitions import count_pairings, crossings
+from tests.conftest import replay, small_graphs
 from tests.oracles import canonical_basis_word
 
 REPLAY = replay(150)
 
 
-@st.composite
-def small_graphs(draw):
-    vertices = "abcd"[: draw(st.integers(1, 4))]
-    edges = [e for e in itertools.combinations(vertices, 2) if draw(st.booleans())]
-    return build_graph(list(vertices), edges)
+def label_pools(graph):
+    """One to four labels, so that words over them have many pairings."""
+    return st.lists(
+        st.tuples(st.sampled_from(graph.vertices), st.sampled_from([1, 2])),
+        min_size=1,
+        max_size=4,
+    )
 
 
 @st.composite
 def labeled_words(draw, graph, max_len=10):
-    """Words over a few labels, so that they have many pairings."""
-    labels = draw(
-        st.lists(
-            st.tuples(st.sampled_from(graph.vertices), st.sampled_from([1, 2])),
-            min_size=1,
-            max_size=4,
-        )
-    )
+    labels = draw(label_pools(graph))
     return tuple(draw(st.lists(st.sampled_from(labels), max_size=max_len)))
+
+
+@st.composite
+def long_labeled_words(draw, graph, max_len):
+    """Words of up to ``max_len`` letters; the length is drawn first, or
+    hypothesis keeps nearly every word short."""
+    labels = draw(label_pools(graph))
+    n = draw(st.integers(0, max_len))
+    return tuple(draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n)))
+
+
+@st.composite
+def paired_words(draw, graph, max_len):
+    """Words with every label an even number of times, so that they pair."""
+    labels = draw(label_pools(graph))
+    n = draw(st.integers(0, max_len // 2))
+    half = draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+    return tuple(draw(st.permutations(half + half)))
 
 
 def crossing_histogram(graph, word, match):
@@ -72,12 +86,32 @@ def test_polynomial_is_the_crossing_histogram(data):
     )
 
 
+@replay(300)
+@given(st.data())
+def test_degree_cut_and_closed_form_match_the_full_polynomial(data):
+    graph = data.draw(small_graphs(max_vertices=6))
+    word = data.draw(long_labeled_words(graph, 14))
+    match = data.draw(st.sampled_from(["label", "vertex"]))
+    full = crossing_polynomial(graph, word, match)
+    for d in (0, 1, 2):
+        # exactly d + 1 coefficients, zero-padded where the polynomial is shorter
+        assert crossing_polynomial(graph, word, match, degree=d) == (full + [0] * d)[: d + 1]
+    assert count_pairings(graph, word, match) == sum(full)
+    if len(word) <= 10:
+        assert count_pairings(graph, word, match) == len(
+            enumerate_pairings(graph, word, match)
+        )
+        assert full[0] == crossing_histogram(graph, word, match)[0]
+
+
 @REPLAY
 @given(st.data())
 def test_count_equals_fock(data):
     graph = data.draw(small_graphs())
-    word = data.draw(labeled_words(graph))
-    assert count_gamma_admissible(graph, word) == vacuum_moment(graph, word)
+    word = data.draw(paired_words(graph, 24))
+    assert count_gamma_admissible(graph, word, max_len=24) == vacuum_moment(
+        graph, word, max_len=24
+    )
 
 
 def touchard_riordan(n, q):
@@ -116,6 +150,7 @@ def test_limit_moment_is_the_polynomial_rounded_once(data):
     exact = sum(c * Fraction(theta) ** k for k, c in enumerate(coeffs))
     assert limit_moment(graph, word, theta) == float(exact)
     assert limit_moment(graph, word, 0.0) == coeffs[0]
+    assert limit_moment(graph, word, -0.0) == coeffs[0]
     assert limit_moment(graph, word, 1.0) == sum(coeffs)
     assert limit_moment(graph, word, 1.0) == len(enumerate_pairings(graph, word))
 

@@ -22,17 +22,10 @@ from graphmoments import (
     t_estimate,
 )
 from graphmoments.errors import UnknownVertex
-from tests.conftest import replay
+from tests.conftest import replay, small_graphs
 from tests.oracles import every_index_algebra, left_multiply, seeded_sign
 
 REPLAY = replay(150)
-
-
-@st.composite
-def small_graphs(draw, max_vertices=4, min_vertices=1):
-    vertices = "abcd"[: draw(st.integers(min_vertices, max_vertices))]
-    edges = [e for e in itertools.combinations(vertices, 2) if draw(st.booleans())]
-    return build_graph(list(vertices), edges)
 
 
 @st.composite

@@ -15,7 +15,7 @@ from graphmoments import (
 )
 from graphmoments.errors import BudgetExceeded, UnknownVertex
 from graphmoments.words import normal_form_order
-from tests.conftest import replay
+from tests.conftest import replay, small_graphs
 from tests.oracles import (
     CANCEL,
     SWAP,
@@ -193,12 +193,11 @@ def test_reduced_iff_shortest_in_class(graphs):
 
 @st.composite
 def graphs_and_words(draw):
-    vertices = "abcdef"[: draw(st.integers(1, 6))]
-    edges = [e for e in itertools.combinations(vertices, 2) if draw(st.booleans())]
+    graph = draw(small_graphs(max_vertices=6))
     # the length is drawn first, or hypothesis keeps nearly every word short
     n = draw(st.integers(0, 40))
-    word = draw(st.lists(st.sampled_from(vertices), min_size=n, max_size=n))
-    return build_graph(list(vertices), edges), tuple(word)
+    word = draw(st.lists(st.sampled_from(graph.vertices), min_size=n, max_size=n))
+    return graph, tuple(word)
 
 
 @replay(300)
