@@ -24,7 +24,6 @@ from .partitions import (
 )
 from .spinmodel import (
     ConstantSigns,
-    ExplicitSigns,
     SeededSigns,
     SpinAlgebra,
     moment_s_word,
@@ -60,7 +59,6 @@ __all__ = [
     "vacuum_moment",
     "ConstantSigns",
     "SeededSigns",
-    "ExplicitSigns",
     "SpinAlgebra",
     "moment_s_word",
     "t_estimate",

@@ -53,7 +53,7 @@ def _signs_from_args(graph: SimplicialGraph, args) -> spinmodel.SignFunction:
 
 
 def _emit(args, human: str, payload: dict) -> None:
-    if getattr(args, "output", "human") == "json":
+    if args.output == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         print(human)
@@ -182,19 +182,31 @@ def _cmd_sign_dump(graph: SimplicialGraph, args) -> None:
     print(json.dumps(doc, sort_keys=True))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--graph", required=True, help="path to a graph JSON file")
-    common.add_argument("--output", choices=["human", "json"], default="human")
+def _option(*names, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser declaring one option for every subcommand that lists it."""
+    parent = _Parser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
 
-    word_len = _Parser(add_help=False)
-    word_len.add_argument(
-        "--max-word-len", type=int, default=partitions.DEFAULT_MAX_WORD_LEN
-    )
-    iterations = _Parser(add_help=False)
-    iterations.add_argument(
-        "--max-iterations", type=int, default=spinmodel.DEFAULT_BUDGET
-    )
+
+def _subcommand(subparsers, name: str, help: str, func, *parents):
+    p = subparsers.add_parser(name, parents=parents, help=help)
+    p.set_defaults(func=func)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    common = _option("--graph", required=True, help="path to a graph JSON file")
+    common.add_argument("--output", choices=["human", "json"], default="human")
+    word_len = _option("--max-word-len", type=int, default=partitions.DEFAULT_MAX_WORD_LEN)
+    iterations = _option("--max-iterations", type=int, default=spinmodel.DEFAULT_BUDGET)
+    word = _option("--word", required=True)
+    modes = [partitions.MATCH_LABEL, partitions.MATCH_VERTEX]
+    match = _option("--match", choices=modes, default=partitions.MATCH_LABEL)
+    sign_p = _option("--p", type=float, default=spinmodel.DEFAULT_P)
+    seed = _option("--seed", type=int, default=0)
+    signs = _option("--signs", choices=["seeded", "constant"], default="seeded")
+    pairing = _option("--pairing", required=True, help="e.g. '1-3,2-4'")
 
     parser = _Parser(
         prog="graphmoments",
@@ -202,91 +214,45 @@ def build_parser() -> argparse.ArgumentParser:
         "by pairing counts, exact Fock simulation, and random-sign matrix models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("normalize", parents=[common], help="canonical form of a word")
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("reduced", parents=[common], help="is the word reduced?")
-    p.add_argument("--word", required=True)
-    p.set_defaults(func=_cmd_reduced)
-
-    p = sub.add_parser("equivalent", parents=[common], help="are two words equivalent?")
+    _subcommand(sub, "normalize", "canonical form of a word", _cmd_normalize, common, word)
+    _subcommand(sub, "reduced", "is the word reduced?", _cmd_reduced, common, word)
+    p = _subcommand(sub, "equivalent", "are two words equivalent?", _cmd_equivalent, common)
     p.add_argument("--word", action="append", required=True, help="give twice")
-    p.set_defaults(func=_cmd_equivalent)
 
-    p = sub.add_parser(
-        "partitions", parents=[common, word_len], help="matching pairings of a labeled word"
-    )
+    p = _subcommand(sub, "partitions", "matching pairings of a labeled word",
+                    _cmd_partitions, common, word_len, word, match)
     p.add_argument("what", choices=["count", "list"])
-    p.add_argument("--word", required=True)
-    p.add_argument("--match", choices=["label", "vertex"], default="label")
-    p.set_defaults(func=_cmd_partitions)
 
-    p = sub.add_parser(
-        "moment",
-        parents=[common, word_len, iterations],
-        help="vacuum moment of a labeled word",
-    )
+    p = _subcommand(sub, "moment", "vacuum moment of a labeled word", _cmd_moment,
+                    common, word_len, iterations, word, match, seed, sign_p, signs)
     p.add_argument("--method", choices=["partitions", "fock", "matrix"], required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--match", choices=["label", "vertex"], default="label")
     p.add_argument("--N", type=int, default=8, help="summands per spin (matrix method)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--signs", choices=["seeded", "constant"], default="seeded")
-    p.set_defaults(func=_cmd_moment)
 
-    p = sub.add_parser("limit", parents=[common, word_len], help="limit moment at a sign bias")
-    p.add_argument("--word", required=True)
+    p = _subcommand(sub, "limit", "limit moment at a sign bias", _cmd_limit,
+                    common, word_len, word, match)
     p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--match", choices=["label", "vertex"], default="label")
-    p.set_defaults(func=_cmd_limit)
 
-    p = sub.add_parser(
-        "compare",
-        parents=[common, word_len, iterations],
-        help="convergence sweep CSV over N and seeds",
-    )
-    p.add_argument("--word", required=True)
+    p = _subcommand(sub, "compare", "convergence sweep CSV over N and seeds", _cmd_compare,
+                    common, word_len, iterations, word, sign_p)
     p.add_argument("--N-list", dest="N_list", type=_int_list, required=True)
     p.add_argument("--seeds", type=_int_list, required=True)
-    p.add_argument("--p", type=float, default=0.5)
-    p.set_defaults(func=_cmd_compare)
 
     clt = sub.add_parser("clt", help="concentration experiments").add_subparsers(
         dest="clt_command", required=True
     )
-
-    p = clt.add_parser(
-        "t-estimate", parents=[common, iterations], help="finite-N weight of one pairing"
-    )
-    p.add_argument("--word", required=True, help="plain vertex word, e.g. 'a a a a'")
-    p.add_argument("--pairing", required=True, help="e.g. '1-3,2-4'")
+    p = _subcommand(clt, "t-estimate", "finite-N weight of one pairing", _cmd_t_estimate,
+                    common, iterations, word, pairing, seed, sign_p, signs)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p", type=float, default=0.5)
-    p.add_argument("--signs", choices=["seeded", "constant"], default="seeded")
-    p.set_defaults(func=_cmd_t_estimate)
 
-    p = clt.add_parser(
-        "variance", parents=[common, iterations], help="variance decay CSV over M"
-    )
-    p.add_argument("--word", required=True)
-    p.add_argument("--pairing", required=True)
+    p = _subcommand(clt, "variance", "variance decay CSV over M", _cmd_variance,
+                    common, iterations, word, pairing, sign_p)
     p.add_argument("--M-list", dest="M_list", type=_int_list, required=True)
     p.add_argument("--samples", type=int, default=32)
-    p.add_argument("--p", type=float, default=0.5)
     p.add_argument("--seed-base", dest="seed_base", type=int, default=0)
-    p.set_defaults(func=_cmd_variance)
 
-    p = sub.add_parser(
-        "sign-dump", parents=[common], help="realized sign table for an index universe"
-    )
+    p = _subcommand(sub, "sign-dump", "realized sign table for an index universe",
+                    _cmd_sign_dump, common, seed, sign_p)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p", type=float, default=0.5)
-    p.set_defaults(func=_cmd_sign_dump)
 
     return parser
 

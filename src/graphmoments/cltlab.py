@@ -19,6 +19,7 @@ from .partitions import (
 )
 from .spinmodel import (
     DEFAULT_BUDGET,
+    DEFAULT_P,
     SeededSigns,
     SignFunction,
     check_summand_count,
@@ -80,6 +81,8 @@ def t_estimate(
     has to avoid the indices of its vertex's other blocks, so those blocks
     contribute a falling factorial and allocate nothing.
     """
+    if signs.graph != graph:
+        raise DomainError("the signs are drawn on another graph than the word's")
     pairs = _checked_pairs(graph, word, partition, n, budget)
     r = len(pairs)
     vertices = [word[e - 1] for e, _ in pairs]
@@ -129,14 +132,21 @@ def t_estimate(
     return estimate
 
 
+def _valid_pairs(
+    graph: SimplicialGraph, word: Word, partition: PairPartition
+) -> tuple[tuple[int, int], ...]:
+    """The pairs of ``partition``, once the word and the pairing are valid."""
+    for v in word:
+        graph.require_vertex(v)
+    return PairPartition.from_pairs(partition.pairs, len(word)).pairs
+
+
 def _checked_pairs(
     graph: SimplicialGraph, word: Word, partition: PairPartition, n: int, budget: int
 ) -> tuple[tuple[int, int], ...]:
     """The pairs of ``partition``, once word, pairing and N are valid for
     one estimate within the budget."""
-    for v in word:
-        graph.require_vertex(v)
-    pairs = PairPartition.from_pairs(partition.pairs, len(word)).pairs
+    pairs = _valid_pairs(graph, word, partition)
     if n < 1:
         raise DomainError(f"N must be positive, got {n}")
     r = len(pairs)
@@ -186,7 +196,7 @@ def convergence_sweep(
     word: LabeledWord,
     n_list,
     seeds,
-    p: float = 0.5,
+    p: float = DEFAULT_P,
     budget: int = DEFAULT_BUDGET,
     max_len: int = DEFAULT_MAX_WORD_LEN,
 ) -> list[SweepRow]:
@@ -226,7 +236,7 @@ def variance_sweep(
     partition: PairPartition,
     m_list,
     samples: int,
-    p: float = 0.5,
+    p: float = DEFAULT_P,
     seed_base: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> VarianceSweepResult:
@@ -242,13 +252,14 @@ def variance_sweep(
     if samples < 2:
         raise DomainError(f"samples must be at least 2, got {samples}")
     m_list, r = list(m_list), len(partition.pairs)
-    if not m_list:
-        return VarianceSweepResult((), 0.0, True)
     SeededSigns(graph, p, seed_base)  # p is rejected before the budget
     for m in m_list:
         if m < 1:
             raise DomainError(f"M must be positive, got {m}")
         _checked_pairs(graph, word, partition, m, budget)
+    if not m_list:
+        _valid_pairs(graph, word, partition)
+        return VarianceSweepResult((), 0.0, True)
     total = samples * sum(m**r for m in m_list)
     if total > budget:
         raise BudgetExceeded(

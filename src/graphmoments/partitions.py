@@ -114,9 +114,6 @@ class PairPartition:
     def __str__(self) -> str:
         return ",".join(f"{e}-{z}" for e, z in self.pairs)
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
 
 def _match_key(letter: Letter, match: str):
     if match == MATCH_LABEL:
@@ -136,15 +133,18 @@ def enumerate_pairings(
 
     Under ``match="label"`` paired positions must agree in vertex and spin
     (the inner products of the Fock model vanish otherwise); under
-    ``match="vertex"`` only the vertex must agree.  Odd-length words have
-    no pairings.  This is the reference that ``crossing_polynomial`` is
-    tested against; the counts never enumerate.
+    ``match="vertex"`` only the vertex must agree.  A word in which some
+    key occurs an odd number of times has no pairings and is not searched.
+    The search pairs the first unpaired position with each later partner
+    in turn, so the pairings come out in lexicographic order.  This is the
+    reference that ``crossing_polynomial`` is tested against; the counts
+    never enumerate.
     """
     validate_labeled_word(graph, word, max_len)
     n = len(word)
-    if n % 2:
-        return []
     keys = [_match_key(letter, match) for letter in word]
+    if any(m % 2 for m in Counter(keys).values()):
+        return []
     results: list[PairPartition] = []
     pairs: list[tuple[int, int]] = []
     unpaired = list(range(n))
@@ -166,7 +166,6 @@ def enumerate_pairings(
         unpaired.insert(0, first)
 
     recurse()
-    results.sort(key=lambda p: p.pairs)
     return results
 
 

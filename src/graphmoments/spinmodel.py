@@ -24,6 +24,10 @@ from .partitions import LabeledWord, validate_labeled_word
 
 DEFAULT_BUDGET = 10**8
 
+# Probability of a +1 sign: unbiased signs, theta = 2p - 1 = 0, the regime
+# of the central limit theorem.
+DEFAULT_P = 0.5
+
 GeneratorIndex = tuple[int, str]
 
 
@@ -108,12 +112,10 @@ class SeededSigns(SignFunction):
     package draws each pair at most once per call.
     """
 
-    def __init__(self, graph: SimplicialGraph, p: float = 0.5, seed: int = 0):
+    def __init__(self, graph: SimplicialGraph, p: float = DEFAULT_P, seed: int = 0):
         super().__init__(graph)
         if not 0.0 <= p <= 1.0:
             raise DomainError(f"p must lie in [0, 1], got {p}")
-        self.p = p
-        self.seed = seed
         self._hash = hashlib.blake2b(
             digest_size=8, key=struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
         )
@@ -134,39 +136,6 @@ class SeededSigns(SignFunction):
             h.update(f"{w}:{j}".encode())
             signs.append(1 if h.digest() < threshold else -1)
         return signs
-
-
-class ExplicitSigns(SignFunction):
-    """Signs given by an explicit table; unlisted free pairs default to +1.
-
-    Table keys are pairs of (index, vertex) labels in either order.
-    Entries that contradict the fixed rules (diagonal -1, edges +1) are
-    rejected.
-    """
-
-    def __init__(self, graph: SimplicialGraph, table: dict, default: int = 1):
-        super().__init__(graph)
-        if default not in (1, -1):
-            raise DomainError(f"default sign must be ±1, got {default}")
-        self.default = default
-        self._table: dict[tuple[int, str, int, str], int] = {}
-        for ((i, v), (j, w)), sign in table.items():
-            if sign not in (1, -1):
-                raise DomainError(f"sign must be ±1, got {sign}")
-            if graph.is_edge(v, w):  # validates both vertices
-                if sign != 1:
-                    raise DomainError("entries on graph edges are fixed at +1")
-                continue
-            if i == j and v == w:
-                if sign != -1:
-                    raise DomainError("diagonal entries are fixed at -1")
-                continue
-            if (w, j) < (v, i):
-                i, v, j, w = j, w, i, v
-            self._table[(i, v, j, w)] = sign
-
-    def _row(self, i, v, later):
-        return [self._table.get((i, v, j, w), self.default) for j, w in later]
 
 
 class SpinAlgebra:

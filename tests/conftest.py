@@ -5,7 +5,9 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from graphmoments import build_graph
+from graphmoments import SimplicialGraph, build_graph
+from graphmoments.errors import DomainError
+from graphmoments.spinmodel import SignFunction
 
 # Acceptance fixture set: edgeless-3, complete-3, path-3, 4-cycle, 5-cycle,
 # and one seeded random 5-vertex graph (frozen below, edges drawn at p=1/2).
@@ -55,6 +57,40 @@ def random_labeled_word(rng, graph, length):
     return tuple(
         (rng.choice(graph.vertices), rng.choice((1, 2))) for _ in range(length)
     )
+
+
+class ExplicitSigns(SignFunction):
+    """Signs given by an explicit table; unlisted free pairs default to +1.
+    The tests use it to set single signs where a seeded draw cannot.
+
+    Table keys are pairs of (index, vertex) labels in either order.
+    Entries that contradict the fixed rules (diagonal -1, edges +1) are
+    rejected.
+    """
+
+    def __init__(self, graph: SimplicialGraph, table: dict, default: int = 1):
+        super().__init__(graph)
+        if default not in (1, -1):
+            raise DomainError(f"default sign must be ±1, got {default}")
+        self.default = default
+        self._table: dict[tuple[int, str, int, str], int] = {}
+        for ((i, v), (j, w)), sign in table.items():
+            if sign not in (1, -1):
+                raise DomainError(f"sign must be ±1, got {sign}")
+            if graph.is_edge(v, w):  # validates both vertices
+                if sign != 1:
+                    raise DomainError("entries on graph edges are fixed at +1")
+                continue
+            if i == j and v == w:
+                if sign != -1:
+                    raise DomainError("diagonal entries are fixed at -1")
+                continue
+            if (w, j) < (v, i):
+                i, v, j, w = j, w, i, v
+            self._table[(i, v, j, w)] = sign
+
+    def _row(self, i, v, later):
+        return [self._table.get((i, v, j, w), self.default) for j, w in later]
 
 
 @pytest.fixture

@@ -166,6 +166,8 @@ def test_clt_variance(capsys, graph_files):
     lines = out.strip().split("\n")
     assert lines[0] == "M,samples,variance"
     assert lines[-1] == "# slope=0"
+    argv[argv.index("--M-list") + 1] = ""
+    assert run(capsys, argv) == (0, "M,samples,variance\n# slope=0\n", "")
 
 
 def test_sign_dump(capsys, graph_files):
@@ -334,6 +336,17 @@ def test_pairing_route_reads_only_what_it_prints(capsys, tmp_path):
         assert time.perf_counter() - start < 1.0, argv
 
 
+def test_partitions_list_does_not_search_a_word_without_pairings(capsys, graph_files):
+    # b occurs once, so no pairing exists; a search would try every partial
+    # pairing of the seventeen a's, which takes seconds
+    argv = ["partitions", "list", "--graph", graph_files["noedge2"], "--max-word-len", "18",
+            "--word", " ".join(["a:1"] * 17 + ["b:1"])]
+    for extra in ([], ["--match", "vertex"]):
+        start = time.perf_counter()
+        assert run(capsys, argv + extra) == (0, "\n", "")
+        assert time.perf_counter() - start < 1.0
+
+
 def test_pairing_totals_beyond_what_prints_exit_3(capsys, graph_files):
     # 3,000 letters a: 2999!! has over 4,300 digits, and is over the float range
     word = " ".join(["a"] * 3000)
@@ -458,6 +471,9 @@ def test_every_budget_flag_is_read(capsys, graph_files, argv, code):
         (SINGLE, VARIANCE + ["--M-list", "4,8", "--samples", "1"],
          "samples must be at least 2, got 1"),
         (SINGLE, VARIANCE + ["--M-list", "0,2"], "M must be positive, got 0"),
+        (SINGLE, VARIANCE + ["--M-list", "", "--p", "5"], "p must lie in [0, 1], got 5.0"),
+        (SINGLE, ["clt", "variance", "--word", "a a a z", "--pairing", "1-3,2-4",
+                  "--M-list", ""], "vertex 'z' is not in the graph"),
         (SINGLE, T_ESTIMATE + ["--N", "0"], "N must be positive, got 0"),
         (SINGLE, T_ESTIMATE + ["--N", "-2"], "N must be positive, got -2"),
         (SINGLE, ["sign-dump", "--N", "-1"], "N must not be negative, got -1"),
@@ -471,6 +487,8 @@ def test_every_budget_flag_is_read(capsys, graph_files, argv, code):
         "vertices-as-string",
         "variance-one-sample",
         "variance-M-zero",
+        "variance-empty-M-list-p",
+        "variance-empty-M-list-word",
         "t-estimate-N-zero",
         "t-estimate-N-negative",
         "sign-dump-N-negative",

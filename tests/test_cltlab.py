@@ -14,7 +14,7 @@ from graphmoments import (
     variance_sweep,
 )
 from graphmoments.cltlab import convergence_csv, variance_csv
-from graphmoments.errors import BudgetExceeded
+from graphmoments.errors import BudgetExceeded, DomainError, MalformedPartition
 
 
 def class_tuple_count(word, pairs, n):
@@ -56,7 +56,7 @@ def test_t_estimate_against_counting_oracle():
         pairing = PairPartition.parse(text, len(word))
         for n in (2, 5, 9):
             got = t_estimate(ConstantSigns(g), g, word, pairing, n)
-            expected = class_tuple_count(word, pairing.pairs, n) / n ** len(pairing)
+            expected = class_tuple_count(word, pairing.pairs, n) / n ** len(pairing.pairs)
             assert got == pytest.approx(expected), (word, text, n)
 
 
@@ -88,6 +88,15 @@ def test_t_estimate_concentrates(single):
         for s in range(20)
     ]
     assert sum(large) / len(large) < sum(small) / len(small)
+
+
+def test_t_estimate_takes_signs_and_crossings_from_one_graph(edge2, noedge2):
+    word = ("a", "b", "a", "b")
+    pairing = PairPartition.parse("1-3,2-4", 4)
+    assert t_estimate(SeededSigns(noedge2, 0.5, 3), noedge2, word, pairing, 8) == -0.28125
+    for signs_graph, graph in ((edge2, noedge2), (noedge2, edge2)):
+        with pytest.raises(DomainError, match="another graph"):
+            t_estimate(SeededSigns(signs_graph, 0.5, 3), graph, word, pairing, 8)
 
 
 def test_t_estimate_budget(single):
@@ -135,6 +144,13 @@ def test_variance_sweep_admissible_pairing(edge2):
     result = variance_sweep(edge2, word, pairing, [4, 8], 8, p=0.5)
     assert all(row.variance == 0.0 for row in result.rows)
     assert result.degenerate
+
+
+def test_variance_sweep_checks_its_input_when_there_is_no_M(single):
+    word = ("a",) * 4
+    assert variance_sweep(single, word, PairPartition.parse("1-3,2-4", 4), [], 8).rows == ()
+    with pytest.raises(MalformedPartition):
+        variance_sweep(single, word, PairPartition(((1, 2),)), [], 8)
 
 
 def test_variance_sweep_decay_slope(single):

@@ -1,5 +1,6 @@
 """The reference implementations in ``tests/oracles.py`` stay independent
-of the kernels they certify."""
+of the kernels they certify, and ``src/`` holds no code that only the tests
+run."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,51 @@ def test_oracles_are_independent():
         if name in KERNELS
     ]
     assert not found, f"oracles refer to the kernels they certify: {', '.join(found)}"
+
+
+# Definitions that nothing in src/ names but that stay, each for its reason.
+UNNAMED_IN_SRC = {
+    # the benchmark's tracer wraps it by name to count crossing queries
+    "gamma_crossing_pairs",
+    # argparse calls this hook of its parser on every usage error
+    "_Parser.error",
+}
+
+
+def _definitions(tree):
+    """Top-level functions and classes, and the non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item
+
+
+def test_src_holds_no_code_that_only_the_tests_run():
+    src = Path(__file__).resolve().parents[1] / "src" / "graphmoments"
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    uses = [
+        node
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    unnamed = []
+    for tree in trees:
+        for qualified, definition in _definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            name = definition.name
+            if not any(
+                id(node) not in inside
+                and name in (getattr(node, "id", None), getattr(node, "attr", None))
+                for node in uses
+            ):
+                unnamed.append(qualified)
+    assert sorted(unnamed) == sorted(UNNAMED_IN_SRC), (
+        "definitions in src/ that nothing in src/ names: move test-only code"
+        " to tests/, or list the definition here with its reason"
+    )

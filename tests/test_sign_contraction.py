@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from graphmoments import (
     ConstantSigns,
-    ExplicitSigns,
     PairPartition,
     SeededSigns,
     SpinAlgebra,
@@ -22,7 +21,7 @@ from graphmoments import (
     t_estimate,
 )
 from graphmoments.errors import UnknownVertex
-from tests.conftest import replay, small_graphs
+from tests.conftest import ExplicitSigns, replay, small_graphs
 from tests.oracles import every_index_algebra, left_multiply, seeded_sign
 
 REPLAY = replay(150)

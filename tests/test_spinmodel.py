@@ -5,7 +5,6 @@ import pytest
 
 from graphmoments import (
     ConstantSigns,
-    ExplicitSigns,
     SeededSigns,
     SpinAlgebra,
     build_graph,
@@ -14,6 +13,7 @@ from graphmoments import (
 )
 from graphmoments.errors import BudgetExceeded, DomainError, OddN, UnknownVertex
 from graphmoments.spinmodel import sign_table
+from tests.conftest import ExplicitSigns
 from tests.oracles import (
     every_index_algebra,
     left_multiply,
