@@ -196,8 +196,8 @@ def _subcommand(subparsers, name: str, help: str, func, *parents):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _option("--graph", required=True, help="path to a graph JSON file")
-    common.add_argument("--output", choices=["human", "json"], default="human")
+    graph = _option("--graph", required=True, help="path to a graph JSON file")
+    output = _option("--output", choices=["human", "json"], default="human")
     word_len = _option("--max-word-len", type=int, default=partitions.DEFAULT_MAX_WORD_LEN)
     iterations = _option("--max-iterations", type=int, default=spinmodel.DEFAULT_BUDGET)
     word = _option("--word", required=True)
@@ -214,26 +214,26 @@ def build_parser() -> argparse.ArgumentParser:
         "by pairing counts, exact Fock simulation, and random-sign matrix models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _subcommand(sub, "normalize", "canonical form of a word", _cmd_normalize, common, word)
-    _subcommand(sub, "reduced", "is the word reduced?", _cmd_reduced, common, word)
-    p = _subcommand(sub, "equivalent", "are two words equivalent?", _cmd_equivalent, common)
+    _subcommand(sub, "normalize", "canonical form of a word", _cmd_normalize, graph, output, word)
+    _subcommand(sub, "reduced", "is the word reduced?", _cmd_reduced, graph, output, word)
+    p = _subcommand(sub, "equivalent", "are two words equivalent?", _cmd_equivalent, graph, output)
     p.add_argument("--word", action="append", required=True, help="give twice")
 
     p = _subcommand(sub, "partitions", "matching pairings of a labeled word",
-                    _cmd_partitions, common, word_len, word, match)
+                    _cmd_partitions, graph, output, word_len, word, match)
     p.add_argument("what", choices=["count", "list"])
 
     p = _subcommand(sub, "moment", "vacuum moment of a labeled word", _cmd_moment,
-                    common, word_len, iterations, word, match, seed, sign_p, signs)
+                    graph, output, word_len, iterations, word, match, seed, sign_p, signs)
     p.add_argument("--method", choices=["partitions", "fock", "matrix"], required=True)
     p.add_argument("--N", type=int, default=8, help="summands per spin (matrix method)")
 
     p = _subcommand(sub, "limit", "limit moment at a sign bias", _cmd_limit,
-                    common, word_len, word, match)
+                    graph, output, word_len, word, match)
     p.add_argument("--theta", type=float, required=True)
 
     p = _subcommand(sub, "compare", "convergence sweep CSV over N and seeds", _cmd_compare,
-                    common, word_len, iterations, word, sign_p)
+                    graph, word_len, iterations, word, sign_p)
     p.add_argument("--N-list", dest="N_list", type=_int_list, required=True)
     p.add_argument("--seeds", type=_int_list, required=True)
 
@@ -241,17 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
         dest="clt_command", required=True
     )
     p = _subcommand(clt, "t-estimate", "finite-N weight of one pairing", _cmd_t_estimate,
-                    common, iterations, word, pairing, seed, sign_p, signs)
+                    graph, output, iterations, word, pairing, seed, sign_p, signs)
     p.add_argument("--N", type=int, required=True)
 
     p = _subcommand(clt, "variance", "variance decay CSV over M", _cmd_variance,
-                    common, iterations, word, pairing, sign_p)
+                    graph, iterations, word, pairing, sign_p)
     p.add_argument("--M-list", dest="M_list", type=_int_list, required=True)
     p.add_argument("--samples", type=int, default=32)
     p.add_argument("--seed-base", dest="seed_base", type=int, default=0)
 
     p = _subcommand(sub, "sign-dump", "realized sign table for an index universe",
-                    _cmd_sign_dump, common, seed, sign_p)
+                    _cmd_sign_dump, graph, seed, sign_p)
     p.add_argument("--N", type=int, required=True)
 
     return parser

@@ -73,6 +73,20 @@ def t_estimate(
     class when paired positions share their index and no two blocks of one
     vertex do, so blocks of a common vertex get distinct indices and the
     class count is a product of falling factorials.
+    """
+    if signs.graph != graph:
+        raise DomainError("the signs are drawn on another graph than the word's")
+    pairs = _valid_pairs(graph, word, partition)
+    _check_size("N", n, len(pairs), budget)
+    return _estimate(signs, graph, word, pairs, n)
+
+
+def _estimate(
+    signs: SignFunction, graph: SimplicialGraph, word: Word, pairs, n: int
+) -> float:
+    """``t_estimate`` without its checks: the caller guarantees that ``signs``
+    are drawn on ``graph``, that ``pairs`` are what ``_valid_pairs`` gives
+    for ``word`` and that N passed ``_check_size``.
 
     The sum is one exact integer contraction over the blocks that have a
     graph crossing: each graph crossing is a factor, the sign matrix of its
@@ -81,9 +95,6 @@ def t_estimate(
     has to avoid the indices of its vertex's other blocks, so those blocks
     contribute a falling factorial and allocate nothing.
     """
-    if signs.graph != graph:
-        raise DomainError("the signs are drawn on another graph than the word's")
-    pairs = _checked_pairs(graph, word, partition, n, budget)
     r = len(pairs)
     vertices = [word[e - 1] for e, _ in pairs]
     if any(word[e - 1] != word[z - 1] for e, z in pairs):
@@ -101,7 +112,6 @@ def t_estimate(
     import numpy as np
 
     label = {b: k for k, b in enumerate(crossed)}
-    indices = range(1, n + 1)
     matrices: dict[tuple[str, str], np.ndarray] = {}
     factors: dict[tuple[int, int], np.ndarray] = {}
     for k, l in crossing_pairs:
@@ -110,7 +120,7 @@ def t_estimate(
             k, l = l, k
         key = (vertices[k], vertices[l])
         if key not in matrices:
-            matrices[key] = signs.matrix(*key, indices)
+            matrices[key] = signs._matrix(*key, n)
         factors[k, l] = matrices[key]
     same_vertex = [
         (k, l) for a, k in enumerate(crossed) for l in crossed[a + 1 :]
@@ -141,20 +151,15 @@ def _valid_pairs(
     return PairPartition.from_pairs(partition.pairs, len(word)).pairs
 
 
-def _checked_pairs(
-    graph: SimplicialGraph, word: Word, partition: PairPartition, n: int, budget: int
-) -> tuple[tuple[int, int], ...]:
-    """The pairs of ``partition``, once word, pairing and N are valid for
-    one estimate within the budget."""
-    pairs = _valid_pairs(graph, word, partition)
+def _check_size(name: str, n: int, r: int, budget: int) -> None:
+    """Reject a class-tuple count N^r that is not positive, exceeds the budget
+    or overflows the 64-bit sum; ``name`` is what the caller calls N."""
     if n < 1:
-        raise DomainError(f"N must be positive, got {n}")
-    r = len(pairs)
+        raise DomainError(f"{name} must be positive, got {n}")
     if n**r > budget:
         raise BudgetExceeded(f"N^(n/2) = {n}^{r} exceeds the budget {budget}")
     if n**r >= 2**63:
         raise BudgetExceeded(f"N^(n/2) = {n}^{r} overflows the 64-bit integer sum")
-    return pairs
 
 
 def _sum_of_products(factors: list[tuple]) -> int:
@@ -251,15 +256,12 @@ def variance_sweep(
     """
     if samples < 2:
         raise DomainError(f"samples must be at least 2, got {samples}")
-    m_list, r = list(m_list), len(partition.pairs)
+    m_list = list(m_list)
     SeededSigns(graph, p, seed_base)  # p is rejected before the budget
+    pairs = _valid_pairs(graph, word, partition)
+    r = len(pairs)
     for m in m_list:
-        if m < 1:
-            raise DomainError(f"M must be positive, got {m}")
-        _checked_pairs(graph, word, partition, m, budget)
-    if not m_list:
-        _valid_pairs(graph, word, partition)
-        return VarianceSweepResult((), 0.0, True)
+        _check_size("M", m, r, budget)
     total = samples * sum(m**r for m in m_list)
     if total > budget:
         raise BudgetExceeded(
@@ -270,7 +272,7 @@ def variance_sweep(
     rows = []
     for m in m_list:
         values = [
-            t_estimate(SeededSigns(graph, p, seed_base + k), graph, word, partition, m, budget)
+            _estimate(SeededSigns(graph, p, seed_base + k), graph, word, pairs, m)
             for k in range(samples)
         ]
         rows.append(VarianceRow(m, samples, float(np.var(values, ddof=1))))

@@ -73,8 +73,9 @@ class PairPartition:
     pairs: tuple[tuple[int, int], ...]
 
     @classmethod
-    def from_pairs(cls, pairs, n: int | None = None) -> "PairPartition":
-        """Validate and canonicalize a collection of (opener, closer) pairs."""
+    def from_pairs(cls, pairs, n: int) -> "PairPartition":
+        """Validate and canonicalize a collection of (opener, closer) pairs
+        that must cover the positions 1..n."""
         canonical = []
         for pair in pairs:
             e, z = pair
@@ -85,18 +86,12 @@ class PairPartition:
         covered = [p for pair in canonical for p in pair]
         if len(set(covered)) != len(covered):
             raise MalformedPartition("pairs overlap")
-        if covered:
-            size = n if n is not None else max(covered)
-            if sorted(covered) != list(range(1, size + 1)):
-                raise MalformedPartition(
-                    f"pairs do not cover positions 1..{size} exactly"
-                )
-        elif n:
+        if sorted(covered) != list(range(1, n + 1)):
             raise MalformedPartition(f"pairs do not cover positions 1..{n} exactly")
         return cls(tuple(canonical))
 
     @classmethod
-    def parse(cls, text: str, n: int | None = None) -> "PairPartition":
+    def parse(cls, text: str, n: int) -> "PairPartition":
         """Parse the CLI syntax ``"1-3,2-4"`` (1-based positions)."""
         pairs = []
         text = text.strip()

@@ -15,7 +15,6 @@ or rational arithmetic.
 from __future__ import annotations
 
 import hashlib
-import struct
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DomainError, OddN
@@ -54,40 +53,29 @@ class SignFunction:
             i, v, j, w = j, w, i, v
         return self._row(i, v, [(j, w)])[0]
 
-    def matrix(self, v: str, w: str, indices):
-        """Signs between the ``indices`` of vertex v and those of w.
+    def _matrix(self, v: str, w: str, n: int):
+        """Signs between the indices 1..n of vertex v and those of w.
 
-        Returns the int8 numpy matrix ``S[a, b] = self(indices[a], v,
-        indices[b], w)``.  Each unordered generator pair is drawn once: for
-        ``v == w`` the strict upper triangle over the distinct indices is
-        drawn and mirrored, with -1 on the diagonal (a label against
-        itself); for ``w < v`` the rows of w are drawn and transposed.
+        Returns the int8 numpy matrix ``S[a, b] = self(a + 1, v, b + 1, w)``,
+        drawing each unordered generator pair once: for ``v == w`` the
+        strict upper triangle is drawn and mirrored, with -1 on the diagonal
+        (a label against itself).  The caller guarantees ``v <= w``; rows
+        are drawn for v, so for ``w < v`` they would disagree with calls.
         """
         import numpy as np
 
-        indices = list(indices)
-        n = len(indices)
+        indices = range(1, n + 1)
         if self.graph.is_edge(v, w):  # validates both vertices
             return np.ones((n, n), dtype=np.int8)
         if v != w:
-            x, y = sorted((v, w))
-            square = np.array(
-                [self._row(i, x, [(j, y) for j in indices]) for i in indices],
-                dtype=np.int8,
-            ).reshape(n, n)
-            return square if v < w else square.T
-        distinct = sorted(set(indices))
-        rows = [[-1] * len(distinct) for _ in distinct]
-        for a, i in enumerate(distinct):
-            later = [(j, v) for j in distinct[a + 1 :]]
-            for b, sign in enumerate(self._row(i, v, later), a + 1):
-                rows[a][b] = rows[b][a] = sign
-        square = np.array(rows, dtype=np.int8).reshape(len(distinct), len(distinct))
-        if distinct == indices:
-            return square
-        position = {i: a for a, i in enumerate(distinct)}
-        gather = [position[i] for i in indices]
-        return square[np.ix_(gather, gather)]
+            rows = [self._row(i, v, [(j, w) for j in indices]) for i in indices]
+            return np.array(rows, dtype=np.int8).reshape(n, n)
+        square = np.full((n, n), -1, dtype=np.int8)
+        for i in indices:
+            square[i - 1, i:] = square[i:, i - 1] = self._row(
+                i, v, [(j, v) for j in range(i + 1, n + 1)]
+            )
+        return square
 
     def _row(self, i: int, v: str, later: list[GeneratorIndex]) -> list[int]:
         raise NotImplementedError
@@ -110,15 +98,25 @@ class SeededSigns(SignFunction):
     the bytes hashed are those of the whole encoding.  Nothing is stored:
     a pair queried twice is hashed twice, and every consumer in this
     package draws each pair at most once per call.
+
+    The hash key is the seed: 8 bytes little-endian for a seed in [0, 2^64),
+    otherwise its shortest two's complement of 9 to 64 bytes, so distinct
+    seeds draw from distinct keys; a seed outside [-2^511, 2^511) is
+    rejected.
     """
 
     def __init__(self, graph: SimplicialGraph, p: float = DEFAULT_P, seed: int = 0):
         super().__init__(graph)
         if not 0.0 <= p <= 1.0:
             raise DomainError(f"p must lie in [0, 1], got {p}")
-        self._hash = hashlib.blake2b(
-            digest_size=8, key=struct.pack("<Q", seed & 0xFFFFFFFFFFFFFFFF)
-        )
+        if 0 <= seed < 2**64:
+            key = seed.to_bytes(8, "little")
+        else:
+            size = max(9, (seed if seed >= 0 else ~seed).bit_length() // 8 + 1)
+            if size > 64:  # the longest blake2b key
+                raise DomainError("seed must lie in [-2^511, 2^511)")
+            key = seed.to_bytes(size, "little", signed=True)
+        self._hash = hashlib.blake2b(digest_size=8, key=key)
         # +1 when the big-endian digest lies below p * 2^64; at p = 1 that
         # bound, 2^64, has no 8-byte form and every sign is +1.
         threshold = int(p * 2.0**64)

@@ -244,13 +244,21 @@ def vacuum_trace_labels(algebra: SpinAlgebra, labels) -> int:
 
 def seeded_sign(graph: SimplicialGraph, p: float, seed: int, i, v, j, w) -> int:
     """The seeded sign of generators (i, v) and (j, w), hashing the whole
-    canonical pair string with the seed's key in one call."""
+    canonical pair string with the seed's key in one call.  The key of a
+    seed in [0, 2^64) is its 8-byte little-endian form, and of any other
+    seed the shortest signed little-endian form of at least 9 bytes."""
     if w in graph.adjacency[v]:
         return 1
     if (i, v) == (j, w):
         return -1
     if (w, j) < (v, i):
         i, v, j, w = j, w, i, v
-    key = struct.pack("<Q", seed & 2**64 - 1)
+    if 0 <= seed < 2**64:
+        key = struct.pack("<Q", seed)
+    else:
+        size = 9
+        while not -(2 ** (8 * size - 1)) <= seed < 2 ** (8 * size - 1):
+            size += 1
+        key = seed.to_bytes(size, "little", signed=True)
     digest = hashlib.blake2b(f"{v}:{i}|{w}:{j}".encode(), digest_size=8, key=key)
     return 1 if int.from_bytes(digest.digest(), "big") < int(p * 2**64) else -1

@@ -7,6 +7,7 @@ import pytest
 
 from graphmoments import cli
 from graphmoments.cli import main
+from tests.test_cli_flags import _leaf_commands
 
 
 @pytest.fixture
@@ -183,6 +184,65 @@ def test_sign_dump(capsys, graph_files):
     assert len(doc["entries"]) == 8 * 7 // 2
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
+
+
+# one valid argv of every command that takes --output
+READS_OUTPUT = {
+    "normalize": ["normalize", "--word", "a b b a"],
+    "reduced": ["reduced", "--word", "a b a"],
+    "equivalent": ["equivalent", "--word", "a b", "--word", "b a"],
+    "partitions": ["partitions", "list", "--word", "a:1 b:1 a:1 b:1"],
+    "moment": ["moment", "--method", "matrix", "--N", "4", "--word", "a:1 b:1 a:1 b:1"],
+    "limit": ["limit", "--theta", "0.5", "--word", "a:1 b:1 a:1 b:1"],
+    "clt t-estimate": ["clt", "t-estimate", "--word", "a b a b", "--pairing", "1-3,2-4",
+                       "--N", "4"],
+}
+
+
+def test_every_output_flag_is_read(capsys, graph_files):
+    takes_output = {
+        name for name, sub in _leaf_commands(cli.build_parser())
+        if "--output" in sub._option_string_actions
+    }
+    assert takes_output == set(READS_OUTPUT)
+    for argv in READS_OUTPUT.values():
+        argv = argv + ["--graph", graph_files["noedge2"]]
+        human = run(capsys, argv)
+        code, out, _ = run(capsys, argv + ["--output", "json"])
+        assert code == 0 and human[0] == 0
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert json.loads(out) is not None
+        assert out != human[1], argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compare", "--word", "a:1 a:1", "--N-list", "2", "--seeds", "0"],
+        VARIANCE + ["--M-list", "4,8"],
+        ["sign-dump", "--N", "1"],
+    ],
+    ids=["compare", "variance", "sign-dump"],
+)
+@pytest.mark.parametrize("output", ["human", "json"])
+def test_commands_without_output_reject_it(capsys, graph_files, argv, output):
+    code, out, err = run(capsys, argv + ["--graph", graph_files["single"], "--output", output])
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --output" in err
+
+
+def test_every_seed_draws_its_own_signs(capsys, graph_files):
+    # seeds 2^64 apart once shared a key; each now draws its own signs
+    seeds = [-1, 0, 2**64 - 1, 2**64, -(2**511), 2**511 - 1]
+    entries = []
+    for seed in seeds:
+        argv = ["sign-dump", "--graph", graph_files["noedge2"], "--N", "2", f"--seed={seed}"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["seed"] == seed
+        entries.append(json.dumps(doc["entries"]))
+    assert len(set(entries)) == len(seeds)
 
 
 def test_usage_error_exits_1(capsys, graph_files):
@@ -477,6 +537,10 @@ def test_every_budget_flag_is_read(capsys, graph_files, argv, code):
         (SINGLE, T_ESTIMATE + ["--N", "0"], "N must be positive, got 0"),
         (SINGLE, T_ESTIMATE + ["--N", "-2"], "N must be positive, got -2"),
         (SINGLE, ["sign-dump", "--N", "-1"], "N must not be negative, got -1"),
+        (SINGLE, ["sign-dump", "--N", "1", "--seed", str(2**511)],
+         "seed must lie in [-2^511, 2^511)"),
+        (SINGLE, T_ESTIMATE + ["--N", "2", f"--seed={-(2**511) - 1}"],
+         "seed must lie in [-2^511, 2^511)"),
         ("[" * 100000 + "]" * 100000, ["normalize", "--word", "a"], "nests too deeply"),
     ],
     ids=[
@@ -492,6 +556,8 @@ def test_every_budget_flag_is_read(capsys, graph_files, argv, code):
         "t-estimate-N-zero",
         "t-estimate-N-negative",
         "sign-dump-N-negative",
+        "sign-dump-seed-too-large",
+        "t-estimate-seed-too-small",
         "graph-nested-too-deeply",
     ],
 )

@@ -10,10 +10,8 @@ import argparse
 from graphmoments.cli import _int_list, build_parser
 
 REQUIRED = (True, None, None, None)
-GRAPH = {
-    "--graph": ("store", *REQUIRED),
-    "--output": ("store", False, None, "human", ["human", "json"]),
-}
+GRAPH = {"--graph": ("store", *REQUIRED)}
+OUTPUT = {"--output": ("store", False, None, "human", ["human", "json"])}
 MAX_WORD_LEN = {"--max-word-len": ("store", False, int, 16, None)}
 MAX_ITERATIONS = {"--max-iterations": ("store", False, int, 10**8, None)}
 WORD = {"--word": ("store", *REQUIRED)}
@@ -26,23 +24,27 @@ N_REQUIRED = {"--N": ("store", True, int, None, None)}
 
 # command -> (options, positionals)
 TABLE = {
-    "normalize": ({**GRAPH, **WORD}, {}),
-    "reduced": ({**GRAPH, **WORD}, {}),
-    "equivalent": ({**GRAPH, "--word": ("append", *REQUIRED)}, {}),
+    "normalize": ({**GRAPH, **OUTPUT, **WORD}, {}),
+    "reduced": ({**GRAPH, **OUTPUT, **WORD}, {}),
+    "equivalent": ({**GRAPH, **OUTPUT, "--word": ("append", *REQUIRED)}, {}),
     "partitions": (
-        {**GRAPH, **MAX_WORD_LEN, **WORD, **MATCH},
+        {**GRAPH, **OUTPUT, **MAX_WORD_LEN, **WORD, **MATCH},
         {"what": ("store", True, None, None, ["count", "list"])},
     ),
     "moment": (
         {
-            **GRAPH, **MAX_WORD_LEN, **MAX_ITERATIONS, **WORD, **MATCH, **SEED, **P, **SIGNS,
+            **GRAPH, **OUTPUT, **MAX_WORD_LEN, **MAX_ITERATIONS, **WORD, **MATCH,
+            **SEED, **P, **SIGNS,
             "--method": ("store", True, None, None, ["partitions", "fock", "matrix"]),
             "--N": ("store", False, int, 8, None),
         },
         {},
     ),
     "limit": (
-        {**GRAPH, **MAX_WORD_LEN, **WORD, **MATCH, "--theta": ("store", True, float, None, None)},
+        {
+            **GRAPH, **OUTPUT, **MAX_WORD_LEN, **WORD, **MATCH,
+            "--theta": ("store", True, float, None, None),
+        },
         {},
     ),
     "compare": (
@@ -54,7 +56,10 @@ TABLE = {
         {},
     ),
     "clt t-estimate": (
-        {**GRAPH, **MAX_ITERATIONS, **WORD, **PAIRING, **N_REQUIRED, **SEED, **P, **SIGNS},
+        {
+            **GRAPH, **OUTPUT, **MAX_ITERATIONS, **WORD, **PAIRING, **N_REQUIRED, **SEED, **P,
+            **SIGNS,
+        },
         {},
     ),
     "clt variance": (

@@ -95,16 +95,20 @@ MAX_WORD_LEN = ("--max-word-len", INT)
 MAX_ITERATIONS = ("--max-iterations", st.one_of(INT, st.sampled_from(["100000000", "1000"])))
 MATCH = ("--match", choice("label", "vertex"))
 SIGNS = ("--signs", choice("seeded", "constant"))
+OUTPUT = ("--output", choice("human", "json"))
 
-# Subcommand words, then (flag, value strategy) pairs; --graph and
-# --output are added to every one.
+# Subcommand words, then (flag, value strategy) pairs; --graph is added to
+# every one.
 COMMANDS = {
-    "normalize": (["normalize"], [("--word", VERTEX_WORD)]),
-    "reduced": (["reduced"], [("--word", VERTEX_WORD)]),
-    "equivalent": (["equivalent"], [("--word", VERTEX_WORD), ("--word", VERTEX_WORD)]),
+    "normalize": (["normalize"], [("--word", VERTEX_WORD), OUTPUT]),
+    "reduced": (["reduced"], [("--word", VERTEX_WORD), OUTPUT]),
+    "equivalent": (
+        ["equivalent"],
+        [("--word", VERTEX_WORD), ("--word", VERTEX_WORD), OUTPUT],
+    ),
     "partitions": (
         ["partitions", "count|list"],
-        [("--word", LABELED_WORD), MATCH, MAX_WORD_LEN],
+        [("--word", LABELED_WORD), MATCH, MAX_WORD_LEN, OUTPUT],
     ),
     "moment": (
         ["moment"],
@@ -118,11 +122,12 @@ COMMANDS = {
             SIGNS,
             MAX_WORD_LEN,
             MAX_ITERATIONS,
+            OUTPUT,
         ],
     ),
     "limit": (
         ["limit"],
-        [("--word", LABELED_WORD), ("--theta", FLOAT), MATCH, MAX_WORD_LEN],
+        [("--word", LABELED_WORD), ("--theta", FLOAT), MATCH, MAX_WORD_LEN, OUTPUT],
     ),
     "compare": (
         ["compare"],
@@ -145,6 +150,7 @@ COMMANDS = {
             ("--p", FLOAT),
             SIGNS,
             MAX_ITERATIONS,
+            OUTPUT,
         ],
     ),
     "variance": (
@@ -172,7 +178,6 @@ def argvs(draw, graph_paths):
             st.sampled_from([graph_paths[name] for name in ("edge2", "path3", "single")]),
             st.sampled_from(sorted(graph_paths.values())),
         )),
-        ("--output", choice("human", "json")),
     ]
     # each flag is present nineteen times in twenty
     for flag, value in flags:

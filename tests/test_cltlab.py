@@ -153,6 +153,31 @@ def test_variance_sweep_checks_its_input_when_there_is_no_M(single):
         variance_sweep(single, word, PairPartition(((1, 2),)), [], 8)
 
 
+@pytest.mark.parametrize(
+    "word, text",
+    [("abab", "1-3,2-4"), ("aaaa", "1-3,2-4"), ("abcabc", "1-4,2-5,3-6"),
+     ("aabaab", "1-4,2-5,3-6")],
+)
+def test_variance_sweep_rows_are_the_variance_of_t_estimate(word, text):
+    import numpy as np
+
+    graph = build_graph(["a", "b", "c"], [("b", "c")])
+    pairing = PairPartition.parse(text, len(word))
+    m_list, samples, p, seed_base = [2, 3, 5], 6, 0.3, 40
+    result = variance_sweep(graph, tuple(word), pairing, m_list, samples, p, seed_base)
+    expected = [
+        float(np.var(
+            [t_estimate(SeededSigns(graph, p, seed_base + k), graph, tuple(word), pairing, m)
+             for k in range(samples)],
+            ddof=1,
+        ))
+        for m in m_list
+    ]
+    assert [(row.m, row.samples) for row in result.rows] == [(m, samples) for m in m_list]
+    assert [row.variance for row in result.rows] == expected
+    assert any(v > 0.0 for v in expected)
+
+
 def test_variance_sweep_decay_slope(single):
     word = ("a",) * 4
     pairing = PairPartition.parse("1-3,2-4", 4)

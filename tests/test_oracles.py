@@ -9,7 +9,7 @@ from pathlib import Path
 # classes nor their row primitive.
 KERNELS = {
     "normalize", "reduce_word", "normal_form_order", "apply_b",
-    "SignFunction", "SeededSigns", "_row", "matrix",
+    "SignFunction", "SeededSigns", "_row", "_matrix",
 }
 
 

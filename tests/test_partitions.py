@@ -41,20 +41,23 @@ def test_parse_labeled_word():
 
 
 def test_pair_partition_validation():
-    p = PairPartition.from_pairs([(2, 4), (1, 3)])
+    p = PairPartition.from_pairs([(2, 4), (1, 3)], 4)
     assert p.pairs == ((1, 3), (2, 4))
     assert str(p) == "1-3,2-4"
     assert PairPartition.parse("1-3,2-4", 4) == p
     with pytest.raises(MalformedPartition):
-        PairPartition.from_pairs([(1, 2), (2, 3)])
+        PairPartition.from_pairs([(1, 2), (2, 3)], 4)
     with pytest.raises(MalformedPartition):
-        PairPartition.from_pairs([(1, 1)])
+        PairPartition.from_pairs([(1, 1)], 2)
     with pytest.raises(MalformedPartition):
         PairPartition.from_pairs([(1, 2)], n=4)
     with pytest.raises(MalformedPartition):
         PairPartition.parse("1-2,3", 4)
     with pytest.raises(MalformedPartition):
-        PairPartition.from_pairs([(1, 2), (3, 5)])
+        PairPartition.from_pairs([(1, 2), (3, 5)], 5)
+    with pytest.raises(MalformedPartition):
+        PairPartition.from_pairs([], 2)
+    assert PairPartition.from_pairs([], 0).pairs == ()
 
 
 def test_enumerate_pairings_examples(single, edge2):
@@ -91,14 +94,14 @@ def test_size_limit(single):
 
 def test_crossings_examples(edge2, noedge2):
     w = parse_labeled_word("a:1 b:1 a:1 b:1")
-    p = PairPartition.from_pairs([(1, 3), (2, 4)])
+    p = PairPartition.from_pairs([(1, 3), (2, 4)], 4)
     crossings, graph_crossings = gamma_crossing_pairs(edge2, w, p)
     assert crossings == {(1, 2)}
     assert graph_crossings == set()
     crossings, graph_crossings = gamma_crossing_pairs(noedge2, w, p)
     assert crossings == {(1, 2)}
     assert graph_crossings == {(1, 2)}
-    nested = PairPartition.from_pairs([(1, 4), (2, 3)])
+    nested = PairPartition.from_pairs([(1, 4), (2, 3)], 4)
     w2 = parse_labeled_word("a:1 b:1 b:1 a:1")
     assert gamma_crossing_pairs(noedge2, w2, nested) == (set(), set())
 
@@ -112,7 +115,7 @@ def test_crossings_number_blocks_by_sorted_openers(noedge2):
 def test_crossing_partition_must_match_word(edge2):
     w = parse_labeled_word("a:1 b:1 a:1 b:1")
     with pytest.raises(MalformedPartition):
-        gamma_crossing_pairs(edge2, w, PairPartition.from_pairs([(1, 2)]))
+        gamma_crossing_pairs(edge2, w, PairPartition.from_pairs([(1, 2)], 2))
 
 
 def test_count_examples(single, edge2, noedge2):
