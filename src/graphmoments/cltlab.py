@@ -207,8 +207,9 @@ def convergence_sweep(
 ) -> list[SweepRow]:
     """Matrix-model moments against the exact limit, one row per (N, seed).
 
-    The exact limit weights each pairing by (2p - 1) to its number of
-    graph crossings; the matrix model provably converges to it at
+    Each seed's signs are keyed once, before the first estimate, and serve
+    every N.  The exact limit weights each pairing by (2p - 1) to its
+    number of graph crossings; the matrix model provably converges to it at
     p = 1/2, for other p the column is the conjectured target.  The
     budget caps each moment at N^n, and the whole sweep at
     len(seeds) x the sum of N^n over ``n_list``.
@@ -226,10 +227,10 @@ def convergence_sweep(
             f"{len(seeds)} seeds x sum of N^{len(word)} = {total}"
             f" exceeds the budget {budget}"
         )
+    signs_of = [SeededSigns(graph, p, seed) for seed in seeds]
     rows = []
     for n in n_list:
-        for seed in seeds:
-            signs = SeededSigns(graph, p, seed)
+        for seed, signs in zip(seeds, signs_of):
             estimate = float(moment_s_word(signs, word, n, budget))
             rows.append(SweepRow(n, seed, estimate, exact))
     return rows
@@ -248,11 +249,12 @@ def variance_sweep(
     """Empirical variance of the pairing-weight estimator as M grows.
 
     Seeds are seed_base + 0 .. seed_base + samples - 1 so runs replay
-    bit for bit.  The slope is a least-squares fit of log variance against
-    log M, skipping zero variances; with fewer than 3 usable points the
-    fit is degenerate and the slope is reported as exactly 0.  The budget
-    caps each estimate at M^(n/2), and the whole sweep at samples x the
-    sum of M^(n/2) over ``m_list``.
+    bit for bit; every seed is keyed before the first estimate.  The slope
+    is a least-squares fit of log variance against log M, skipping zero
+    variances; with fewer than 3 distinct M left the fit is degenerate
+    and the slope is reported as exactly 0.  The budget caps each
+    estimate at M^(n/2), and the whole sweep at samples x the sum of
+    M^(n/2) over ``m_list``.
     """
     if samples < 2:
         raise DomainError(f"samples must be at least 2, got {samples}")
@@ -267,6 +269,8 @@ def variance_sweep(
         raise BudgetExceeded(
             f"{samples} samples x sum of M^{r} = {total} exceeds the budget {budget}"
         )
+    if m_list:  # seed_base is keyed above, so every seed between is valid
+        SeededSigns(graph, p, seed_base + samples - 1)
     import numpy as np
 
     rows = []
@@ -277,7 +281,7 @@ def variance_sweep(
         ]
         rows.append(VarianceRow(m, samples, float(np.var(values, ddof=1))))
     points = [(row.m, row.variance) for row in rows if row.variance > 0.0]
-    if len(points) < 3:
+    if len({m for m, _ in points}) < 3:
         return VarianceSweepResult(tuple(rows), 0.0, True)
     log_m = np.log([m for m, _ in points])
     log_var = np.log([v for _, v in points])

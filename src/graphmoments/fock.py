@@ -1,15 +1,18 @@
-"""Exact simulator of creation, annihilation, and field operators on the
-graph-product Fock space, over integer coefficients.
+"""Exact simulator of the field operators on the graph-product Fock space,
+over integer coefficients.
 
 A basis word is a sequence of (vertex, spin) letters in which letters of
 one vertex form contiguous blocks; collapsing each block to a single
 letter must leave a reduced word.  Words that differ only by swapping
 adjacent blocks of adjacent vertices name the same basis vector, so every
 word is stored in a canonical block order (lexicographically least, by
-the normal-form kernel of ``words``).  The operators edit the canonical
-letter tuple in place and re-derive the block order only when a block
-appears or disappears; growing or shrinking a block leaves the collapsed
-word, hence the order, unchanged.  All inner
+the normal-form kernel of ``words``).  A field operator is creation plus
+annihilation, applied in one pass: for each word it finds once the block
+of the letter's vertex that can move to the front, and emits the created
+word and, when that block's head has the letter's spin, the annihilated
+one.  Both edit the canonical letter tuple in place and re-derive the
+block order only when a block appears or disappears; growing or shrinking
+a block leaves the collapsed word, hence the order, unchanged.  All inner
 products in this model are 0 or 1, hence states are plain dictionaries
 mapping canonical words to integers and the whole module is float-free.
 """
@@ -69,76 +72,36 @@ def _front(word: BasisWord, v: str, link: frozenset[str]) -> int:
     return -1
 
 
-def apply_create(
-    graph: SimplicialGraph,
-    state: FockState,
-    letter: Letter,
-    *,
-    max_letters: int | None = None,
-) -> FockState:
-    """Creation: prepend the letter and slide it to its unique slot.
-
-    The letter joins the head of the first block of its vertex whose
-    predecessors all commute with it; if a non-commuting block appears
-    first (or no such block exists) it forms a new front block.  Either
-    way the result is a single basis word with the same coefficient.
-
-    With ``max_letters``, words that would hold more than ``max_letters``
-    letters equal to ``letter`` are dropped before they are built.
-    """
-    v, spin = letter
-    link = graph.link(v)
-    out: FockState = {}
-    for word, coeff in state.items():
-        if max_letters is not None and word.count(letter) >= max_letters:
-            continue
-        idx = _front(word, v, link)
-        if idx >= 0:
-            created = word[:idx] + (letter,) + word[idx:]
-        else:
-            created = _canonical(graph, (letter,) + word)
-        _accumulate(out, created, coeff)
-    return out
-
-
-def apply_annihilate(
-    graph: SimplicialGraph, state: FockState, letter: Letter
-) -> FockState:
-    """Annihilation: remove the head of the front-movable block of the vertex.
-
-    A term dies when no block of the letter's vertex can be moved to the
-    front, or when the head spin differs (orthogonal spins).
-    """
-    v, spin = letter
-    link = graph.link(v)
-    out: FockState = {}
-    for word, coeff in state.items():
-        idx = _front(word, v, link)
-        if idx < 0 or word[idx][1] != spin:
-            continue
-        rest = word[:idx] + word[idx + 1 :]
-        if idx == len(rest) or rest[idx][0] != v:  # the block died
-            rest = _canonical(graph, rest)
-        _accumulate(out, rest, coeff)
-    return out
-
-
 def apply_field(
-    graph: SimplicialGraph,
-    state: FockState,
-    letter: Letter,
-    *,
-    max_letters: int | None = None,
+    graph: SimplicialGraph, state: FockState, letter: Letter, *, max_letters: int
 ) -> FockState:
-    """The self-adjoint field operator: creation plus annihilation.
+    """The self-adjoint field operator, creation plus annihilation, in one
+    pass over the state.
 
-    With ``max_letters``, result words holding more than ``max_letters``
-    letters equal to ``letter`` are dropped, as in ``apply_create``.
+    Both act at the head of the block of the letter's vertex that can move
+    to the front.  Creation joins the letter to that head, or makes it a
+    new front block when no such block exists.  Annihilation removes that
+    head when its spin matches; otherwise, or when there is no such block,
+    the term dies.  Result words holding more than ``max_letters`` letters
+    equal to ``letter`` are dropped before they are built.
     """
-    out = apply_create(graph, state, letter, max_letters=max_letters)
-    for word, coeff in apply_annihilate(graph, state, letter).items():
-        if max_letters is None or word.count(letter) <= max_letters:
-            _accumulate(out, word, coeff)
+    v, spin = letter
+    link = graph.link(v)
+    out: FockState = {}
+    for word, coeff in state.items():
+        count = word.count(letter)
+        idx = _front(word, v, link)
+        if count < max_letters:
+            if idx >= 0:
+                created = word[:idx] + (letter,) + word[idx:]
+            else:
+                created = _canonical(graph, (letter,) + word)
+            _accumulate(out, created, coeff)
+        if idx >= 0 and word[idx][1] == spin and count <= max_letters + 1:
+            rest = word[:idx] + word[idx + 1 :]
+            if idx == len(rest) or rest[idx][0] != v:  # the block died
+                rest = _canonical(graph, rest)
+            _accumulate(out, rest, coeff)
     return out
 
 

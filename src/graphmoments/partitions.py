@@ -110,11 +110,12 @@ class PairPartition:
         return ",".join(f"{e}-{z}" for e, z in self.pairs)
 
 
-def _match_key(letter: Letter, match: str):
+def _match_keys(word: LabeledWord, match: str) -> list:
+    """The key each letter is matched by: its label, or only its vertex."""
     if match == MATCH_LABEL:
-        return letter
+        return list(word)
     if match == MATCH_VERTEX:
-        return letter[0]
+        return [v for v, _ in word]
     raise DomainError(f"match mode must be 'label' or 'vertex', got {match!r}")
 
 
@@ -137,7 +138,7 @@ def enumerate_pairings(
     """
     validate_labeled_word(graph, word, max_len)
     n = len(word)
-    keys = [_match_key(letter, match) for letter in word]
+    keys = _match_keys(word, match)
     if any(m % 2 for m in Counter(keys).values()):
         return []
     results: list[PairPartition] = []
@@ -231,12 +232,12 @@ def crossing_polynomial(
     and every coefficient above ``x ** d`` is dropped.
     """
     validate_labeled_word(graph, word, max_len)
+    keys = _match_keys(word, match)
     zero = [0] * (1 if degree is None else degree + 1)
     if len(word) % 2:
         return zero
     if degree is None:
         degree = len(word) ** 2  # more than any pairing's graph crossings
-    keys = [_match_key((v, s), match) for v, s in word]
     vertex_of = {key: v for key, (v, _) in zip(keys, word)}
     ahead = Counter(keys)
     adjacency = graph.adjacency
@@ -294,10 +295,11 @@ def count_pairings(
     checks it.
     """
     validate_labeled_word(graph, word, max_len)
+    keys = _match_keys(word, match)
     if len(word) % 2:
         return 0
     total = 1
-    for m in Counter(_match_key(letter, match) for letter in word).values():
+    for m in Counter(keys).values():
         if m % 2:
             return 0
         for odd in range(m - 1, 1, -2):

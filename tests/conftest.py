@@ -5,9 +5,10 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from graphmoments import SimplicialGraph, build_graph
+from graphmoments import SimplicialGraph, build_graph, vacuum
 from graphmoments.errors import DomainError
 from graphmoments.spinmodel import SignFunction
+from tests.oracles import apply_create, create_plus_annihilate
 
 # Acceptance fixture set: edgeless-3, complete-3, path-3, 4-cycle, 5-cycle,
 # and one seeded random 5-vertex graph (frozen below, edges drawn at p=1/2).
@@ -51,6 +52,18 @@ def small_graphs(draw, min_vertices=1, max_vertices=4):
     vertices = "abcdef"[: draw(st.integers(min_vertices, max_vertices))]
     edges = [e for e in itertools.combinations(vertices, 2) if draw(st.booleans())]
     return build_graph(list(vertices), edges)
+
+
+@st.composite
+def fock_states(draw, graph):
+    """Sums of basis words, reached by random field and creation operators
+    (the uncapped reference ones)."""
+    state = vacuum()
+    for _ in range(draw(st.integers(0, 6))):
+        letter = (draw(st.sampled_from(graph.vertices)), draw(st.sampled_from([1, 2])))
+        op = draw(st.sampled_from([create_plus_annihilate, apply_create]))
+        state = op(graph, state, letter)
+    return state
 
 
 def random_labeled_word(rng, graph, length):

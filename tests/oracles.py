@@ -3,9 +3,10 @@
 Each is deliberately the slow, direct form of what it checks: single
 rewriting moves and their breadth-first closure for ``words.normalize``,
 and for longer words a fixed-point reduction that rescans after every
-merge and a greedy extraction of the smallest front-movable letter; the
-delta pairing of Fock states for the creation/annihilation adjoint,
-the vacuum coefficient of a product of generators taken one left
+merge and a greedy extraction of the smallest front-movable letter;
+creation and annihilation as two separate passes for the fused field
+operator of ``fock``, and the delta pairing of Fock states for their
+adjoint; the vacuum coefficient of a product of generators taken one left
 multiplication at a time for ``SpinAlgebra``, and one whole-string hash
 per pair for the seeded signs.  They do not call the kernels they certify
 (``test_oracles_are_independent`` checks that).
@@ -199,6 +200,52 @@ def canonical_basis_word(graph: SimplicialGraph, letters) -> BasisWord:
             f"letters {letters!r} collapse to a non-reduced word {collapsed!r}"
         )
     return _canonical(graph, letters)
+
+
+def _movable_block(graph: SimplicialGraph, word: BasisWord, v: str) -> int:
+    """Position of the first letter of vertex v when every letter before it
+    commutes with v, else -1: the head of the block that can move to the
+    front."""
+    first = next((k for k, (u, _) in enumerate(word) if u == v), -1)
+    link = graph.adjacency[v]
+    if first < 0 or any(u not in link for u, _ in word[:first]):
+        return -1
+    return first
+
+
+def apply_create(graph: SimplicialGraph, state: FockState, letter) -> FockState:
+    """Creation: the letter joins the head of the front-movable block of its
+    vertex, or forms a new front block when there is none."""
+    out: FockState = {}
+    for word, coeff in state.items():
+        idx = _movable_block(graph, word, letter[0])
+        if idx >= 0:
+            created = word[:idx] + (letter,) + word[idx:]
+        else:
+            created = _canonical(graph, (letter,) + word)
+        out[created] = out.get(created, 0) + coeff
+    return {word: coeff for word, coeff in out.items() if coeff}
+
+
+def apply_annihilate(graph: SimplicialGraph, state: FockState, letter) -> FockState:
+    """Annihilation: remove the head of the front-movable block of the
+    letter's vertex when it equals the letter; the term dies otherwise."""
+    out: FockState = {}
+    for word, coeff in state.items():
+        idx = _movable_block(graph, word, letter[0])
+        if idx < 0 or word[idx] != letter:
+            continue
+        rest = _canonical(graph, word[:idx] + word[idx + 1 :])
+        out[rest] = out.get(rest, 0) + coeff
+    return {word: coeff for word, coeff in out.items() if coeff}
+
+
+def create_plus_annihilate(graph: SimplicialGraph, state: FockState, letter) -> FockState:
+    """The uncapped field operator, as the sum of the two passes."""
+    out = apply_create(graph, state, letter)
+    for word, coeff in apply_annihilate(graph, state, letter).items():
+        out[word] = out.get(word, 0) + coeff
+    return {word: coeff for word, coeff in out.items() if coeff}
 
 
 def state_from_letters(graph: SimplicialGraph, letters, coeff: int = 1) -> FockState:

@@ -26,10 +26,11 @@ from graphmoments import (
     vacuum_moment,
     variance_sweep,
 )
-from graphmoments.fock import apply_annihilate, apply_create
 from tests.conftest import fixture_graphs, random_labeled_word
 from tests.oracles import (
     applicable_moves,
+    apply_annihilate,
+    apply_create,
     apply_move,
     equivalence_class_oracle,
     every_index_algebra,

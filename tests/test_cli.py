@@ -2,10 +2,11 @@ import itertools
 import json
 import math
 import time
+import warnings
 
 import pytest
 
-from graphmoments import cli
+from graphmoments import cli, cltlab
 from graphmoments.cli import main
 from tests.test_cli_flags import _leaf_commands
 
@@ -169,6 +170,19 @@ def test_clt_variance(capsys, graph_files):
     assert lines[-1] == "# slope=0"
     argv[argv.index("--M-list") + 1] = ""
     assert run(capsys, argv) == (0, "M,samples,variance\n# slope=0\n", "")
+
+
+@pytest.mark.parametrize("m_list", ["4,4,4", "4,4,8"])
+def test_clt_variance_fits_no_slope_to_repeated_m(capsys, graph_files, m_list):
+    # the seeds repeat with M, so a repeated M repeats its row: fewer than
+    # three distinct M leave no slope to fit, and no fit warns
+    argv = VARIANCE + ["--graph", graph_files["single"], "--samples", "8"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv + ["--M-list", m_list])
+    rows = out.split("\n")[1:-2]
+    assert (code, out.split("\n")[-2], err) == (0, "# slope=0", "")
+    assert len(rows) == 3 and rows[0] == rows[1]
 
 
 def test_sign_dump(capsys, graph_files):
@@ -343,6 +357,27 @@ def test_sweep_budget_is_inclusive(capsys, graph_files, argv, cap):
     argv = argv + ["--graph", graph_files["single"]]
     assert run(capsys, argv + ["--max-iterations", str(cap)])[0] == 0
     assert run(capsys, argv + ["--max-iterations", str(cap - 1)])[0] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        VARIANCE + ["--M-list", "4", "--samples", "8", "--seed-base", str(2**511 - 3)],
+        ["compare", "--word", "a:1 a:1", "--N-list", "2,4", "--seeds", f"0,{2**600}"],
+    ],
+    ids=["variance-last-seed", "compare-second-seed"],
+)
+def test_sweeps_key_every_seed_before_the_first_estimate(
+    capsys, graph_files, monkeypatch, argv
+):
+    def unreachable(*args):
+        raise AssertionError("an estimate ran before every seed was keyed")
+
+    monkeypatch.setattr(cltlab, "_estimate", unreachable)
+    monkeypatch.setattr(cltlab, "moment_s_word", unreachable)
+    code, out, err = run(capsys, argv + ["--graph", graph_files["single"]])
+    assert (code, out) == (2, "")
+    assert err == "graphmoments: invalid input: seed must lie in [-2^511, 2^511)\n"
 
 
 @pytest.mark.parametrize("p", ["1.5", "-0.5"])

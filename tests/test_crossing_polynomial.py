@@ -21,13 +21,17 @@ from graphmoments import (
     crossing_polynomial,
     enumerate_pairings,
     limit_moment,
-    vacuum,
     vacuum_moment,
 )
-from graphmoments.fock import apply_annihilate, apply_create, apply_field
+from graphmoments.fock import apply_field
 from graphmoments.partitions import count_pairings, crossings
-from tests.conftest import replay, small_graphs
-from tests.oracles import canonical_basis_word
+from tests.conftest import fock_states, replay, small_graphs
+from tests.oracles import (
+    apply_annihilate,
+    apply_create,
+    canonical_basis_word,
+    create_plus_annihilate,
+)
 
 REPLAY = replay(150)
 
@@ -155,17 +159,6 @@ def test_limit_moment_is_the_polynomial_rounded_once(data):
     assert limit_moment(graph, word, 1.0) == len(enumerate_pairings(graph, word))
 
 
-@st.composite
-def fock_states(draw, graph):
-    """Sums of basis words, reached by random field and creation operators."""
-    state = vacuum()
-    for _ in range(draw(st.integers(0, 6))):
-        letter = (draw(st.sampled_from(graph.vertices)), draw(st.sampled_from([1, 2])))
-        op = draw(st.sampled_from([apply_field, apply_create]))
-        state = op(graph, state, letter)
-    return state
-
-
 @REPLAY
 @given(st.data())
 def test_pruned_field_drops_exactly_the_over_cap_words(data):
@@ -173,10 +166,13 @@ def test_pruned_field_drops_exactly_the_over_cap_words(data):
     state = data.draw(fock_states(graph))
     letter = (data.draw(st.sampled_from(graph.vertices)), data.draw(st.sampled_from([1, 2])))
     cap = data.draw(st.integers(0, 4))
-    for op in (apply_field, apply_create):
-        full = op(graph, state, letter)
-        kept = {w: c for w, c in full.items() if w.count(letter) <= cap}
-        assert op(graph, state, letter, max_letters=cap) == kept
+    # no word of the state holds more letters than it is long, so this cap
+    # drops nothing
+    uncapped = 1 + max(map(len, state), default=0)
+    full = apply_field(graph, state, letter, max_letters=uncapped)
+    assert full == create_plus_annihilate(graph, state, letter)
+    kept = {w: c for w, c in full.items() if w.count(letter) <= cap}
+    assert apply_field(graph, state, letter, max_letters=cap) == kept
 
 
 @REPLAY
@@ -185,10 +181,11 @@ def test_operators_return_canonical_words(data):
     graph = data.draw(small_graphs())
     state = data.draw(fock_states(graph))
     cap = data.draw(st.integers(0, 4))
+    uncapped = 1 + max(map(len, state), default=0)
     for letter in itertools.product(graph.vertices, (1, 2)):
-        results = [apply_annihilate(graph, state, letter)]
-        for op in (apply_create, apply_field):
-            results += [op(graph, state, letter), op(graph, state, letter, max_letters=cap)]
+        results = [apply_annihilate(graph, state, letter), apply_create(graph, state, letter)]
+        for limit in (uncapped, cap):
+            results.append(apply_field(graph, state, letter, max_letters=limit))
         for out in results:
             for word in out:
                 assert word == canonical_basis_word(graph, word)

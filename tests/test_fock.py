@@ -1,12 +1,28 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphmoments import build_graph, count_gamma_admissible, vacuum, vacuum_moment
 from graphmoments.errors import InvalidToken, SizeLimit, UnknownVertex
-from graphmoments.fock import apply_annihilate, apply_create, apply_field
-from tests.conftest import fixture_graphs, random_labeled_word
-from tests.oracles import canonical_basis_word, inner, state_from_letters
+from graphmoments.fock import apply_field
+from tests.conftest import (
+    fixture_graphs,
+    fock_states,
+    random_labeled_word,
+    replay,
+    small_graphs,
+)
+from tests.oracles import (
+    apply_annihilate,
+    apply_create,
+    canonical_basis_word,
+    create_plus_annihilate,
+    inner,
+    state_from_letters,
+)
 
 
 def random_basis_state(rng, graph, depth):
@@ -77,10 +93,23 @@ def test_adjointness_pairing(graphs):
             )
 
 
-def test_field_is_create_plus_annihilate(edge2):
+def test_field_example(edge2):
     state = state_from_letters(edge2, [("a", 1)])
-    out = apply_field(edge2, state, ("a", 1))
+    out = apply_field(edge2, state, ("a", 1), max_letters=2)
     assert out == {(("a", 1), ("a", 1)): 1, (): 1}
+    assert apply_field(edge2, state, ("a", 1), max_letters=1) == {(): 1}
+
+
+@replay(150)
+@given(st.data())
+def test_field_is_create_plus_annihilate(data):
+    graph = data.draw(small_graphs(max_vertices=6))
+    state = data.draw(fock_states(graph))
+    for letter in itertools.product(graph.vertices, (1, 2)):
+        both = create_plus_annihilate(graph, state, letter)
+        for cap in range(5):
+            kept = {w: c for w, c in both.items() if w.count(letter) <= cap}
+            assert apply_field(graph, state, letter, max_letters=cap) == kept
 
 
 def test_vacuum_moment_examples(edge2, noedge2):

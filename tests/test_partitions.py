@@ -7,6 +7,7 @@ from graphmoments import (
     PairPartition,
     build_graph,
     count_gamma_admissible,
+    crossing_polynomial,
     enumerate_pairings,
     gamma_crossing_pairs,
     limit_moment,
@@ -18,6 +19,7 @@ from graphmoments.errors import (
     MalformedPartition,
     SizeLimit,
 )
+from graphmoments.partitions import count_pairings
 from tests.conftest import random_labeled_word
 
 
@@ -81,6 +83,25 @@ def test_match_vertex_mode(single):
     assert len(enumerate_pairings(single, w, match="label")) == 1
     with pytest.raises(DomainError):
         enumerate_pairings(single, w, match="bogus")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_bad_match_mode_is_rejected_at_every_length(single, n):
+    # empty and odd words have no pairing, but the mode is still checked
+    w = (("a", 1),) * n
+    entry_points = [
+        lambda: enumerate_pairings(single, w, match="bogus"),
+        lambda: crossing_polynomial(single, w, match="bogus"),
+        lambda: crossing_polynomial(single, w, match="bogus", degree=0),
+        lambda: count_pairings(single, w, match="bogus"),
+        lambda: count_gamma_admissible(single, w, match="bogus"),
+    ] + [
+        lambda theta=theta: limit_moment(single, w, theta, match="bogus")
+        for theta in (0.0, 0.5, 1.0)
+    ]
+    for call in entry_points:
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_size_limit(single):
