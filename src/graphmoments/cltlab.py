@@ -269,8 +269,8 @@ def variance_sweep(
         raise BudgetExceeded(
             f"{samples} samples x sum of M^{r} = {total} exceeds the budget {budget}"
         )
-    if m_list:  # seed_base is keyed above, so every seed between is valid
-        SeededSigns(graph, p, seed_base + samples - 1)
+    # seed_base is keyed above, so every seed between is valid
+    SeededSigns(graph, p, seed_base + samples - 1)
     import numpy as np
 
     rows = []

@@ -36,9 +36,12 @@ class SignFunction:
     The fixed rules hold for every subclass: a label against itself gives
     -1, labels of adjacent vertices give +1, and the value is symmetric in
     its two arguments.  Subclasses only decide the free entries, one row at
-    a time: ``_row(i, v, later)`` gives the signs of (i, v) against each
-    (j, w) of ``later``, which the caller guarantees come after (i, v) in
-    the canonical (vertex, index) order and lie on no edge of v.
+    a time, on label keys: ``_key(i, v)`` is the key of the label (i, v),
+    the label itself unless a subclass encodes it, and ``_row(head,
+    later)`` gives the signs of the label keyed ``head`` against each label
+    keyed in ``later``, which the caller guarantees come after it in the
+    canonical (vertex, index) order and lie on no edge of its vertex.
+    Callers key each label once per block and pass that key to every row.
     """
 
     def __init__(self, graph: SimplicialGraph):
@@ -51,7 +54,10 @@ class SignFunction:
             return -1
         if (w, j) < (v, i):
             i, v, j, w = j, w, i, v
-        return self._row(i, v, [(j, w)])[0]
+        return self._row(self._key(i, v), [self._key(j, w)])[0]
+
+    def _key(self, i: int, v: str):
+        return i, v
 
     def _matrix(self, v: str, w: str, n: int):
         """Signs between the indices 1..n of vertex v and those of w.
@@ -64,27 +70,26 @@ class SignFunction:
         """
         import numpy as np
 
-        indices = range(1, n + 1)
         if self.graph.is_edge(v, w):  # validates both vertices
             return np.ones((n, n), dtype=np.int8)
+        heads = [self._key(i, v) for i in range(1, n + 1)]
         if v != w:
-            rows = [self._row(i, v, [(j, w) for j in indices]) for i in indices]
+            later = [self._key(j, w) for j in range(1, n + 1)]
+            rows = [self._row(head, later) for head in heads]
             return np.array(rows, dtype=np.int8).reshape(n, n)
         square = np.full((n, n), -1, dtype=np.int8)
-        for i in indices:
-            square[i - 1, i:] = square[i:, i - 1] = self._row(
-                i, v, [(j, v) for j in range(i + 1, n + 1)]
-            )
+        for a, head in enumerate(heads):
+            square[a, a + 1 :] = square[a + 1 :, a] = self._row(head, heads[a + 1 :])
         return square
 
-    def _row(self, i: int, v: str, later: list[GeneratorIndex]) -> list[int]:
+    def _row(self, head, later: list) -> list[int]:
         raise NotImplementedError
 
 
 class ConstantSigns(SignFunction):
     """All free entries +1: fully commuting generators."""
 
-    def _row(self, i, v, later):
+    def _row(self, head, later):
         return [1] * len(later)
 
 
@@ -93,11 +98,12 @@ class SeededSigns(SignFunction):
 
     The value of a pair is a keyed 64-bit hash of its canonical encoding
     ``"{v}:{i}|{w}:{j}"``, so it is reproducible and independent of query
-    order.  A row shares one keyed hash state that has taken the prefix
-    ``"{v}:{i}|"``; each draw copies it and hashes only ``"{w}:{j}"``, so
-    the bytes hashed are those of the whole encoding.  Nothing is stored:
-    a pair queried twice is hashed twice, and every consumer in this
-    package draws each pair at most once per call.
+    order.  A label's key is its encoding ``"{v}:{i}"``, made once per
+    block of rows.  A row shares one keyed hash state that has taken the
+    prefix ``"{v}:{i}|"``; each draw copies it, takes the partner's key and
+    digests, so the bytes hashed per pair are those of the whole encoding.
+    Nothing is stored: a pair queried twice is hashed twice, and every
+    consumer in this package draws each pair at most once per call.
 
     The hash key is the seed: 8 bytes little-endian for a seed in [0, 2^64),
     otherwise its shortest two's complement of 9 to 64 bytes, so distinct
@@ -122,16 +128,20 @@ class SeededSigns(SignFunction):
         threshold = int(p * 2.0**64)
         self._threshold = threshold.to_bytes(8, "big") if threshold < 2**64 else None
 
-    def _row(self, i, v, later):
+    def _key(self, i, v):
+        return f"{v}:{i}".encode()
+
+    def _row(self, head, later):
         if self._threshold is None:
             return [1] * len(later)
         prefix = self._hash.copy()
-        prefix.update(f"{v}:{i}|".encode())
+        prefix.update(head + b"|")
+        copy = prefix.copy
         threshold = self._threshold
         signs = []
-        for j, w in later:
-            h = prefix.copy()
-            h.update(f"{w}:{j}".encode())
+        for key in later:
+            h = copy()
+            h.update(key)
             signs.append(1 if h.digest() < threshold else -1)
         return signs
 
@@ -158,13 +168,14 @@ class SpinAlgebra:
         ]
         self._rank = {gi: r for r, gi in enumerate(self.universe)}
         self._below = [0] * len(self.universe)
-        for a, (i, v) in enumerate(self.universe):
+        keys = [signs._key(i, v) for i, v in self.universe]
+        for a, (_, v) in enumerate(self.universe):
             link = links[v]
             later = [
                 r for r in range(a + 1, len(self.universe))
                 if self.universe[r][1] not in link
             ]
-            row = signs._row(i, v, [self.universe[r] for r in later])
+            row = signs._row(keys[a], [keys[r] for r in later])
             for r, sign in zip(later, row):
                 if sign < 0:
                     self._below[r] |= 1 << a

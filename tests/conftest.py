@@ -102,7 +102,8 @@ class ExplicitSigns(SignFunction):
                 i, v, j, w = j, w, i, v
             self._table[(i, v, j, w)] = sign
 
-    def _row(self, i, v, later):
+    def _row(self, head, later):  # keys are the base class's (i, v) labels
+        i, v = head
         return [self._table.get((i, v, j, w), self.default) for j, w in later]
 
 

@@ -569,6 +569,8 @@ def test_every_budget_flag_is_read(capsys, graph_files, argv, code):
         (SINGLE, VARIANCE + ["--M-list", "", "--p", "5"], "p must lie in [0, 1], got 5.0"),
         (SINGLE, ["clt", "variance", "--word", "a a a z", "--pairing", "1-3,2-4",
                   "--M-list", ""], "vertex 'z' is not in the graph"),
+        (SINGLE, VARIANCE + ["--M-list", "", "--seed-base", str(2**511 - 3), "--samples", "8"],
+         "seed must lie in [-2^511, 2^511)"),
         (SINGLE, T_ESTIMATE + ["--N", "0"], "N must be positive, got 0"),
         (SINGLE, T_ESTIMATE + ["--N", "-2"], "N must be positive, got -2"),
         (SINGLE, ["sign-dump", "--N", "-1"], "N must not be negative, got -1"),
@@ -588,6 +590,7 @@ def test_every_budget_flag_is_read(capsys, graph_files, argv, code):
         "variance-M-zero",
         "variance-empty-M-list-p",
         "variance-empty-M-list-word",
+        "variance-empty-M-list-last-seed",
         "t-estimate-N-zero",
         "t-estimate-N-negative",
         "sign-dump-N-negative",

@@ -5,13 +5,13 @@ run."""
 import ast
 from pathlib import Path
 
-# The seeded-sign oracle hashes each pair itself: it names neither the sign
-# classes nor their row primitive.  The creation and annihilation oracles
-# find the front-movable block themselves: they name neither the fused field
-# operator nor its front scan.
+# The seeded-sign oracle encodes and hashes each pair itself: it names
+# neither the sign classes nor their label key or row primitive.  The
+# creation and annihilation oracles find the front-movable block
+# themselves: they name neither the fused field operator nor its front scan.
 KERNELS = {
-    "normalize", "reduce_word", "normal_form_order", "apply_b", "apply_field",
-    "_front", "SignFunction", "SeededSigns", "_row", "_matrix",
+    "normalize", "normal_form_order", "apply_b", "apply_field",
+    "_front", "SignFunction", "SeededSigns", "_key", "_row", "_matrix",
 }
 
 

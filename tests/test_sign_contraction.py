@@ -21,6 +21,7 @@ from graphmoments import (
     t_estimate,
 )
 from graphmoments.errors import DomainError, UnknownVertex
+from graphmoments.spinmodel import sign_table
 from tests.conftest import ExplicitSigns, replay, small_graphs
 from tests.oracles import every_index_algebra, left_multiply, seeded_sign
 
@@ -46,17 +47,30 @@ def sign_functions(draw, graph, n):
 
 
 class CountingSigns(SeededSigns):
-    """Seeded signs that record every pair drawn through ``_row``."""
+    """Seeded signs that record every label keyed through ``_key`` and
+    every pair drawn through ``_row``."""
 
     def __init__(self, graph):
         super().__init__(graph, 0.5, 7)
+        self.keyed = []
         self.queries = []
 
-    def _row(self, i, v, later):
-        for j, w in later:  # the row contract: later labels, no edge of v
+    def _key(self, i, v):
+        self.keyed.append((i, v))
+        return super()._key(i, v)
+
+    def _row(self, head, later):
+        i, v = _label(head)
+        for j, w in map(_label, later):  # the row contract: later labels, no edge of v
             assert (v, i) < (w, j) and not self.graph.is_edge(v, w), (i, v, j, w)
-        self.queries += [(i, v, j, w) for j, w in later]
-        return super()._row(i, v, later)
+            self.queries.append((i, v, j, w))
+        return super()._row(head, later)
+
+
+def _label(key):
+    """The label (i, v) of a seeded key ``b"{v}:{i}"``."""
+    v, _, i = key.decode().rpartition(":")
+    return int(i), v
 
 
 @REPLAY
@@ -126,6 +140,9 @@ def test_seeded_rows_equal_whole_string_hash(data):
     expected = [[oracle(i, v, j, w) for j in range(1, n + 1)] for i in range(1, n + 1)]
     assert signs._matrix(v, w, n).tolist() == expected
 
+    for entry in sign_table(signs, data.draw(st.integers(0, 4))):
+        assert entry["sign"] == oracle(entry["i"], entry["v"], entry["j"], entry["w"]), entry
+
 
 def test_seed_range_is_that_of_a_64_byte_key():
     graph = build_graph(["a"])
@@ -157,6 +174,22 @@ def test_sign_matrix_draws_each_pair_once():
         canonical = {(i, x, j, y) if (x, i) <= (y, j) else (j, y, i, x)
                      for i, x, j, y in signs.queries}
         assert len(signs.queries) == len(canonical) == expected, (v, w)
+
+
+def test_each_label_is_keyed_once_per_block():
+    # a-c is an edge: its block is fixed at +1 and no label is keyed
+    graph = build_graph(["a", "b", "c"], [("a", "c")])
+    for v, w, n in (("a", "b", 5), ("b", "b", 5), ("a", "c", 5)):
+        signs = CountingSigns(graph)
+        signs._matrix(v, w, n)
+        assert len(signs.keyed) == len(set(signs.keyed)), (v, w)
+        if v == w:
+            assert len(signs.keyed) == n
+        else:
+            assert len(signs.keyed) <= 2 * n, (v, w)
+    signs = CountingSigns(graph)
+    algebra = SpinAlgebra(signs, {"a": [0, 2], "b": [1], "c": [0, 1, 3]})
+    assert signs.keyed == algebra.universe
 
 
 def test_spin_algebra_draws_no_adjacent_pair():
