@@ -101,6 +101,11 @@ def _cmd_partitions(graph: SimplicialGraph, args) -> None:
 
 
 def _cmd_moment(graph: SimplicialGraph, args) -> None:
+    if args.match != partitions.MATCH_LABEL and args.method != "partitions":
+        raise DomainError(
+            f"--match {args.match} needs --method partitions; "
+            f"the {args.method} route matches labels"
+        )
     word = partitions.parse_labeled_word(args.word)
     if args.method == "partitions":
         value = partitions.count_gamma_admissible(

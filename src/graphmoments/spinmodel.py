@@ -15,6 +15,8 @@ or rational arithmetic.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 from .errors import BudgetExceeded, DomainError, OddN
@@ -158,9 +160,18 @@ class SpinAlgebra:
     smaller ones are one bit mask, so a left multiplication is one popcount;
     that order is the canonical one, so each non-adjacent pair is drawn once
     in canonical orientation (adjacent pairs are fixed at +1).
+
+    The slot (i, v) belongs to the label (v, 1 + i % 2), that of the spin
+    whose hopping sum holds it.  Flipping slot r reads its sign against a
+    smaller slot a only when a is occupied, so a caller whose sweeps apply
+    the sum of label y only while slots of label x may be occupied can name
+    the ordered label pairs (x, y) it reads in ``reads``: a pair a < r is
+    then drawn only when (label of a, label of r) is one of them, and every
+    other entry is left at +1, never to be read.  Without ``reads`` every
+    non-adjacent pair is drawn.
     """
 
-    def __init__(self, signs: SignFunction, indices):
+    def __init__(self, signs: SignFunction, indices, reads=None):
         self.signs = signs
         links = {v: signs.graph.link(v) for v in indices}  # validates them
         self.universe: list[GeneratorIndex] = [
@@ -169,16 +180,23 @@ class SpinAlgebra:
         self._rank = {gi: r for r, gi in enumerate(self.universe)}
         self._below = [0] * len(self.universe)
         keys = [signs._key(i, v) for i, v in self.universe]
-        for a, (_, v) in enumerate(self.universe):
-            link = links[v]
-            later = [
-                r for r in range(a + 1, len(self.universe))
-                if self.universe[r][1] not in link
+        by_label: dict[tuple[str, int], list[int]] = {}
+        for r, (i, v) in enumerate(self.universe):
+            by_label.setdefault((v, 1 + i % 2), []).append(r)
+        for head, ranks in by_label.items():
+            partners = [
+                later
+                for label, later in by_label.items()
+                if label[0] not in links[head[0]] and (reads is None or (head, label) in reads)
             ]
-            row = signs._row(keys[a], [keys[r] for r in later])
-            for r, sign in zip(later, row):
-                if sign < 0:
-                    self._below[r] |= 1 << a
+            for a in ranks:
+                later = [r for p in partners for r in p[bisect_right(p, a) :]]
+                if not later:
+                    continue
+                row = signs._row(keys[a], [keys[r] for r in later])
+                for r, sign in zip(later, row):
+                    if sign < 0:
+                        self._below[r] |= 1 << a
 
     def rank(self, i: int, v: str) -> int:
         try:
@@ -186,19 +204,41 @@ class SpinAlgebra:
         except KeyError:
             raise DomainError(f"generator ({i}, {v!r}) outside the index universe")
 
-    def apply_b(self, state: dict[int, int], *ranks: int) -> dict[int, int]:
+    def apply_b(
+        self, state: dict[int, int], *ranks: int, cap: int | None = None, target=None
+    ) -> dict[int, int]:
         """Sum of the hopping operators ``ranks`` applied to every term.
 
         Each generator multiplies each term from the left: it toggles its
         slot in the subset, and the reordering sign is the parity of the
         occupied smaller slots it anticommutes with, one popcount against
         its sign mask, which is looked up once per call.
+
+        ``cap`` bounds how many of the slots ``ranks`` a result may occupy:
+        a term already holding ``cap`` or more of them only has those
+        flipped, so on a state holding at most ``cap + 1`` the result is the
+        plain one without the masks that hold more than ``cap``.  With
+        ``target`` only the masks that ``target`` holds are kept.
         """
         flips = [(1 << r, self._below[r]) for r in ranks]
+        if cap is not None:
+            below_of = dict(flips)
+            slots = sum(below_of)
         out: dict[int, int] = {}
         for mask, coeff in state.items():
-            for bit, below in flips:
+            moves = flips
+            if cap is not None:
+                occupied = mask & slots
+                if occupied.bit_count() >= cap:
+                    moves = []
+                    while occupied:
+                        bit = occupied & -occupied
+                        moves.append((bit, below_of[bit]))
+                        occupied ^= bit
+            for bit, below in moves:
                 flipped = mask ^ bit
+                if target is not None and flipped not in target:
+                    continue
                 step = -coeff if (below & mask).bit_count() & 1 else coeff
                 total = out.get(flipped, 0) + step
                 if total:
@@ -222,6 +262,30 @@ def check_summand_count(word: LabeledWord, n: int, budget: int) -> None:
         raise BudgetExceeded(f"N^n = {n}^{len(word)} exceeds the budget {budget}")
 
 
+def _cheapest_cut(word: LabeledWord) -> int:
+    """The first rotation k of an even-length word whose halves
+    ``word[k:k + n/2]`` and the rest share the fewest applications:
+    Σ_x min(#x in one half, #x in the other).  Rotation k + n/2 swaps the
+    halves, so only k < n/2 is scanned, shifting the halves by one letter a
+    step."""
+    half = len(word) // 2
+    left, right = Counter(word[:half]), Counter(word[half:])
+    cost = best = sum(min(count, right[x]) for x, count in left.items())
+    cut = 0
+    for k in range(1, half):
+        out, into = word[k - 1], word[k - 1 + half]
+        moved = {out, into}
+        cost -= sum(min(left[x], right[x]) for x in moved)
+        left[out] -= 1
+        right[out] += 1
+        right[into] -= 1
+        left[into] += 1
+        cost += sum(min(left[x], right[x]) for x in moved)
+        if cost < best:
+            best, cut = cost, k
+    return cut
+
+
 def moment_s_word(
     signs: SignFunction,
     word: LabeledWord,
@@ -238,9 +302,25 @@ def moment_s_word(
     ones of a vertex that occurs with spin 2.  Every hopping sum is a
     real symmetric signed permutation, so the vacuum entry of B_1...B_n
     is the inner product of B_h...B_1|0> and B_(h+1)...B_n|0> with
-    h = n/2: each half is applied to the vacuum as a sparse vector, and
-    neither half grows past h generators, so no term needs pruning.  The
-    raw count N^n must stay within the budget.
+    h = n/2, each half applied to the vacuum as a sparse vector.
+
+    Only what can reach the trace is computed, and every step is exact:
+
+    - The vacuum entry is a trace, so the word is first rotated to the
+      cut whose halves share the fewest applications of a label
+      (``_cheapest_cut``).
+    - The halves meet only on equal masks, and a half that applies label x
+      m times holds at most m of its slots.  So after each step a term may
+      hold no more slots of the applied label than the rest of its own
+      half and the whole other half apply (the ``cap`` of ``apply_b``).
+    - The last left step keeps only the masks of the right half-state.
+    - Flipping a slot reads its signs against the occupied smaller slots
+      only.  Along each half the most slots of each label that a term can
+      hold is known from the caps, so the algebra draws only the label
+      pairs (x, y) whose x slots a term can hold while the sum of y is
+      applied.
+
+    The raw count N^n must stay within the budget.
     """
     graph = signs.graph
     validate_labeled_word(graph, word)
@@ -248,18 +328,49 @@ def moment_s_word(
     length = len(word)
     if length % 2:
         return Fraction(0)
+    half = length // 2
+    cut = _cheapest_cut(word)
+    word = word[cut:] + word[:cut]
+    # each half in the order its sums are applied to the vacuum
+    halves = word[:half], word[half:][::-1]
+    counts = [Counter(part) for part in halves]
+    plans = []
+    reads = set()
+    for part, other in zip(halves, reversed(counts)):
+        remaining = Counter(part)
+        most: dict[tuple[str, int], int] = {}  # label -> the most of its slots a term holds
+        plan = []
+        for label in part:
+            remaining[label] -= 1
+            cap = remaining[label] + other[label]
+            held = most.get(label, 0)
+            reads.update((x, label) for x, m in most.items() if m and x != label)
+            # a term reads a pair of its own label's slots when it holds one
+            # and flips another: below the cap, or holding two at the cap
+            if held and max(held, cap) >= 2:
+                reads.add((label, label))
+            most[label] = held + 1 if held < cap else max(held - 1, 0)
+            plan.append((label, cap))
+        plans.append(plan)
     slots: dict[str, set[int]] = {}
     for v, spin in word:
         slots.setdefault(v, set()).update(range(spin - 1, 2 * n, 2))
-    algebra = SpinAlgebra(signs, slots)
-    sums = [[algebra.rank(i, v) for i in range(spin - 1, 2 * n, 2)] for v, spin in word]
-    half = length // 2
-    left = right = {0: 1}
-    for ranks in sums[:half]:
-        left = algebra.apply_b(left, *ranks)
-    for ranks in reversed(sums[half:]):
-        right = algebra.apply_b(right, *ranks)
-    trace = sum(coeff * right.get(mask, 0) for mask, coeff in left.items())
+    algebra = SpinAlgebra(signs, slots, reads)
+    ranks = {
+        (v, spin): [algebra.rank(i, v) for i in range(spin - 1, 2 * n, 2)]
+        for v, spin in counts[0] | counts[1]
+    }
+
+    def sweep(plan, target=None):
+        state = {0: 1}
+        for step, (label, cap) in enumerate(plan, 1):
+            last = target if step == len(plan) else None
+            state = algebra.apply_b(state, *ranks[label], cap=cap, target=last)
+        return state
+
+    right = sweep(plans[1])
+    left = sweep(plans[0], target=right)
+    trace = sum(coeff * right[mask] for mask, coeff in left.items())
     return Fraction(trace, n**half)
 
 

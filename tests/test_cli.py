@@ -523,6 +523,19 @@ def test_negative_number_is_a_value(capsys, graph_files, argv, code):
         assert out == "" and len(err.splitlines()) == 1
 
 
+def test_match_vertex_is_rejected_by_the_label_matching_methods(capsys, graph_files):
+    # one argv used to print 2, 0 and 1 with exit 0: only the partitions
+    # method can pair a:1 with a:2, the Fock and matrix routes match labels
+    argv = ["moment", "--graph", graph_files["single"], "--word", "a:1 a:2 a:1 a:2",
+            "--N", "2", "--signs", "constant", "--match"]
+    assert run(capsys, argv + ["vertex", "--method", "partitions"]) == (0, "2\n", "")
+    for method, answer in (("fock", "0\n"), ("matrix", "1\n")):
+        says = f"--match vertex needs --method partitions; the {method} route matches labels"
+        got = run(capsys, argv + ["vertex", "--method", method])
+        assert got == (2, "", f"graphmoments: invalid input: {says}\n"), method
+        assert run(capsys, argv + ["label", "--method", method]) == (0, answer, ""), method
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

@@ -1,9 +1,14 @@
 """Differential tests of the sign layer's consumers: the sign matrices
 against direct sign queries, the t-estimate contraction against a
-brute-force sum over index tuples, and the split matrix-model moment
-against one sweep over every index of every vertex."""
+brute-force sum over index tuples, and the split matrix-model moment, on
+every rotation of its word, against one sweep over every index of every
+vertex; with the sweep kernel's occupancy cap and target restriction
+against the plain kernel, and the algebra's restricted draws against its
+full ones."""
 
 import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -21,7 +26,7 @@ from graphmoments import (
     t_estimate,
 )
 from graphmoments.errors import DomainError, UnknownVertex
-from graphmoments.spinmodel import sign_table
+from graphmoments.spinmodel import _cheapest_cut, sign_table
 from tests.conftest import ExplicitSigns, replay, small_graphs
 from tests.oracles import every_index_algebra, left_multiply, seeded_sign
 
@@ -306,18 +311,160 @@ def test_moment_s_word_equals_full_sweep(data):
     assert moment_s_word(signs, word, n) == full_sweep_moment(signs, word, n)
 
 
+def dense_signs(graph, n, seed):
+    """A seeded random explicit sign on every free pair of the labels
+    (i, v) with i < n."""
+    rng = random.Random(seed)
+    labels = [(i, v) for v in graph.vertices for i in range(n)]
+    table = {
+        (x, y): rng.choice((1, -1))
+        for a, x in enumerate(labels)
+        for y in labels[a + 1 :]
+        if not graph.is_edge(x[1], y[1])
+    }
+    return ExplicitSigns(graph, table)
+
+
+@REPLAY
+@given(st.data())
+def test_moment_s_word_is_the_same_on_every_rotation(data):
+    # the vacuum entry is a trace; every rotation is cut where it is cheapest
+    graph = data.draw(small_graphs(max_vertices=3))
+    n = data.draw(st.sampled_from([1, 2, 4]))
+    labels = [(v, spin) for v in graph.vertices for spin in ([1] if n == 1 else [1, 2])]
+    word = tuple(data.draw(st.lists(st.sampled_from(labels), max_size=8)))
+    signs = dense_signs(graph, 2 * n, data.draw(st.integers(0, 2**32)))
+    expected = full_sweep_moment(signs, word, n)
+    for k in range(len(word)):
+        assert moment_s_word(signs, word[k:] + word[:k], n) == expected, k
+
+
 @pytest.mark.parametrize(
-    "vertices, word, n, slots, pairs",
+    "word",
     [
-        # the even slots 0, 2, 4, 6 of a: C(4, 2) pairs, not C(8, 2) = 28
-        ("a", "a:1 a:1 a:1 a:1", 4, {(0, "a")}, 6),
-        # the even slots of a and the odd ones of b: N^2 + 2 C(N, 2), not C(16, 2)
-        ("ab", "a:1 b:2 a:1 b:2", 4, {(0, "a"), (1, "b")}, 28),
+        # the third a leaves a term holding one a slot where the first
+        # b is applied: the a-b pairs are read there and nowhere before
+        "a:1 a:1 a:1 b:1 a:1 b:1 b:1 b:1",
+        # the same with the two labels on one vertex
+        "a:1 a:1 a:1 a:2 a:1 a:2 a:2 a:2",
     ],
 )
-def test_moment_s_word_draws_only_the_word_slots(vertices, word, n, slots, pairs):
+def test_moment_s_word_draws_what_a_held_slot_reads(word):
+    graph = build_graph(["a", "b"])
+    letters = parse_labeled_word(word)
+    for n, seed in itertools.product((2, 4), range(4)):
+        signs = dense_signs(graph, 2 * n, seed)
+        assert moment_s_word(signs, letters, n) == full_sweep_moment(signs, letters, n), (n, seed)
+
+
+@REPLAY
+@given(st.lists(st.sampled_from([("a", 1), ("a", 2), ("b", 1)]), max_size=12))
+def test_cheapest_cut_is_the_first_cheapest_rotation(letters):
+    word = letters[: len(letters) // 2 * 2]
+    half = len(word) // 2
+
+    def shared(k):
+        rotated = word[k:] + word[:k]
+        return sum(min(rotated[:half].count(x), rotated[half:].count(x)) for x in set(word))
+
+    assert _cheapest_cut(word) == min(range(half), key=shared, default=0)
+
+
+def test_moment_of_the_empty_word_is_one():
+    graph = build_graph(["a", "b"])
+    for signs in (ConstantSigns(graph), SeededSigns(graph, 0.5, 3), CountingSigns(graph)):
+        for n in (1, 2, 8):
+            assert moment_s_word(signs, (), n) == 1
+    assert signs.queries == []
+
+
+@st.composite
+def held_states(draw, size, ranks, most):
+    """Sparse states whose masks each hold at most ``most`` of ``ranks``."""
+    slots = sum(1 << r for r in ranks)
+    state = {}
+    for _ in range(draw(st.integers(0, 6))):
+        held = draw(st.lists(st.sampled_from(ranks), unique=True, max_size=most))
+        rest = draw(st.integers(0, (1 << size) - 1)) & ~slots
+        state[rest | sum(1 << r for r in held)] = draw(st.sampled_from([-2, -1, 1, 3]))
+    return state
+
+
+@REPLAY
+@given(st.data())
+def test_apply_b_cap_and_target_only_drop_masks(data):
+    graph = data.draw(small_graphs(max_vertices=2))
+    algebra = every_index_algebra(data.draw(sign_functions(graph, 4)), 4)
+    size = len(algebra.universe)
+    ranks = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4, unique=True))
+    cap = data.draw(st.integers(0, len(ranks)))
+    state = data.draw(held_states(size, ranks, cap + 1))
+    plain = algebra.apply_b(state, *ranks)
+    target = dict.fromkeys(
+        data.draw(st.lists(st.sampled_from(sorted(plain) or [0]))) +
+        data.draw(st.lists(st.integers(0, (1 << size) - 1), max_size=3)),
+        1,
+    )
+
+    def held(mask):
+        return sum(mask >> r & 1 for r in ranks)
+
+    capped = {m: c for m, c in plain.items() if held(m) <= cap}
+    assert algebra.apply_b(state, *ranks, cap=cap) == capped
+    assert algebra.apply_b(state, *ranks, target=target) == {
+        m: c for m, c in plain.items() if m in target
+    }
+    assert algebra.apply_b(state, *ranks, cap=cap, target=target) == {
+        m: c for m, c in capped.items() if m in target
+    }
+
+
+@REPLAY
+@given(st.data())
+def test_spin_algebra_draws_only_the_read_label_pairs(data):
+    graph = data.draw(small_graphs())
+    indices = {
+        v: data.draw(st.lists(st.integers(0, 7), max_size=4))
+        for v in sorted(data.draw(st.sets(st.sampled_from(graph.vertices), min_size=1)))
+    }
+    labels = st.tuples(st.sampled_from(sorted(indices)), st.sampled_from([1, 2]))
+    reads = data.draw(st.sets(st.tuples(labels, labels)))
+    signs = CountingSigns(graph)
+    algebra = SpinAlgebra(signs, indices, reads)
+    full = SpinAlgebra(SeededSigns(graph, 0.5, 7), indices)  # CountingSigns' own signs
+    assert algebra.universe == full.universe
+    expected = []
+    for b, (j, w) in enumerate(algebra.universe):
+        for a, (i, v) in enumerate(algebra.universe[:b]):
+            read = ((v, 1 + i % 2), (w, 1 + j % 2)) in reads
+            assert algebra._below[b] >> a & 1 == (read and full._below[b] >> a & 1)
+            if read and not graph.is_edge(v, w):
+                expected.append((i, v, j, w))
+    assert sorted(signs.queries) == sorted(expected)
+
+
+@pytest.mark.parametrize(
+    "vertices, word, n, slots, pairs, value",
+    [
+        # the even slots 0, 2, 4, 6 of a: C(4, 2) pairs, not C(8, 2) = 28
+        ("a", "a:1 a:1 a:1 a:1", 4, {(0, "a")}, 6, Fraction(7, 4)),
+        # the even slots of a and the odd ones of b, but each half applies
+        # the sum of a once and that of b once, so only the a-b pairs are
+        # read: N^2, not N^2 + 2 C(N, 2) = 28 nor C(16, 2)
+        ("ab", "a:1 b:2 a:1 b:2", 4, {(0, "a"), (1, "b")}, 16, Fraction(3, 8)),
+        # cut as b b | a a, each half applies one label twice, and a term
+        # holding a slot at the second step may only empty it: no pair is
+        # read, where the cut a b | b a reads the N^2 a-b pairs
+        ("ab", "a:1 b:2 b:2 a:1", 4, {(0, "a"), (1, "b")}, 0, 1),
+        # each half applies one sum to the vacuum and reads no sign
+        ("a", "a:1 a:1", 2000, {(0, "a")}, 0, 1),
+    ],
+)
+def test_moment_s_word_draws_only_the_word_slots(vertices, word, n, slots, pairs, value):
     signs = CountingSigns(build_graph(list(vertices)))
-    moment_s_word(signs, parse_labeled_word(word), n)
+    start = time.process_time()
+    assert moment_s_word(signs, parse_labeled_word(word), n) == value
+    assert time.process_time() - start < 1.0
     canonical = {(i, x, j, y) if (x, i) <= (y, j) else (j, y, i, x)
                  for i, x, j, y in signs.queries}
     assert len(signs.queries) == len(canonical) == pairs
