@@ -78,15 +78,13 @@ def t_estimate(
         raise DomainError("the signs are drawn on another graph than the word's")
     pairs = _valid_pairs(graph, word, partition)
     _check_size("N", n, len(pairs), budget)
-    return _estimate(signs, graph, word, pairs, n)
+    return _estimate(signs, word, pairs, n)
 
 
-def _estimate(
-    signs: SignFunction, graph: SimplicialGraph, word: Word, pairs, n: int
-) -> float:
-    """``t_estimate`` without its checks: the caller guarantees that ``signs``
-    are drawn on ``graph``, that ``pairs`` are what ``_valid_pairs`` gives
-    for ``word`` and that N passed ``_check_size``.
+def _estimate(signs: SignFunction, word: Word, pairs, n: int) -> float:
+    """``t_estimate`` without its checks: the caller guarantees that ``word``
+    is on the graph of ``signs``, that ``pairs`` are what ``_valid_pairs``
+    gives for ``word`` and that N passed ``_check_size``.
 
     The sum is one exact integer contraction over the blocks that have a
     graph crossing: each graph crossing is a factor, the sign matrix of its
@@ -102,7 +100,7 @@ def _estimate(
     blocks_of = Counter(vertices)
     if max(blocks_of.values(), default=0) > n:  # more blocks than indices
         return 0.0
-    crossing_pairs = crossings(graph, word, pairs)[1]
+    crossing_pairs = crossings(signs.graph, word, pairs)[1]
     crossed = sorted({b for pair in crossing_pairs for b in pair})
     if len(crossed) > MAX_LABELS:
         raise SizeLimit(
@@ -276,7 +274,7 @@ def variance_sweep(
     rows = []
     for m in m_list:
         values = [
-            _estimate(SeededSigns(graph, p, seed_base + k), graph, word, pairs, m)
+            _estimate(SeededSigns(graph, p, seed_base + k), word, pairs, m)
             for k in range(samples)
         ]
         rows.append(VarianceRow(m, samples, float(np.var(values, ddof=1))))

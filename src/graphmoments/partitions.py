@@ -141,27 +141,27 @@ def enumerate_pairings(
     keys = _match_keys(word, match)
     if any(m % 2 for m in Counter(keys).values()):
         return []
+    same: dict = {}  # key -> bit mask of its positions
+    for q, key in enumerate(keys):
+        same[key] = same.get(key, 0) | 1 << q
     results: list[PairPartition] = []
-    pairs: list[tuple[int, int]] = []
-    unpaired = list(range(n))
-
-    def recurse() -> None:
+    # An explicit stack, so that long words fit.  The partners of a first
+    # position are pushed last to first, so that the pairings through the
+    # first partner all come out before those through the next.
+    stack = [((), (1 << n) - 1)]  # (pairs so far, mask of unpaired positions)
+    while stack:
+        pairs, unpaired = stack.pop()
         if not unpaired:
-            results.append(PairPartition(tuple(pairs)))
-            return
-        first = unpaired.pop(0)
-        for idx in range(len(unpaired)):
-            partner = unpaired[idx]
-            if keys[partner] != keys[first]:
-                continue
-            del unpaired[idx]
-            pairs.append((first + 1, partner + 1))
-            recurse()
-            pairs.pop()
-            unpaired.insert(idx, partner)
-        unpaired.insert(0, first)
-
-    recurse()
+            results.append(PairPartition(pairs))
+            continue
+        low = unpaired & -unpaired
+        first = low.bit_length()  # 1-based, as is every position below
+        rest = unpaired ^ low
+        partners = rest & same[keys[first - 1]]
+        while partners:
+            last = 1 << partners.bit_length() - 1
+            partners ^= last
+            stack.append((pairs + ((first, last.bit_length()),), rest ^ last))
     return results
 
 

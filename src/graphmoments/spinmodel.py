@@ -162,7 +162,8 @@ class SpinAlgebra:
     in canonical orientation (adjacent pairs are fixed at +1).
 
     The slot (i, v) belongs to the label (v, 1 + i % 2), that of the spin
-    whose hopping sum holds it.  Flipping slot r reads its sign against a
+    whose hopping sum holds it; ``labels`` maps each label to the ranks of
+    its slots, ascending.  Flipping slot r reads its sign against a
     smaller slot a only when a is occupied, so a caller whose sweeps apply
     the sum of label y only while slots of label x may be occupied can name
     the ordered label pairs (x, y) it reads in ``reads``: a pair a < r is
@@ -177,16 +178,15 @@ class SpinAlgebra:
         self.universe: list[GeneratorIndex] = [
             (i, v) for v in sorted(indices) for i in sorted(set(indices[v]))
         ]
-        self._rank = {gi: r for r, gi in enumerate(self.universe)}
         self._below = [0] * len(self.universe)
         keys = [signs._key(i, v) for i, v in self.universe]
-        by_label: dict[tuple[str, int], list[int]] = {}
+        self.labels: dict[tuple[str, int], list[int]] = {}
         for r, (i, v) in enumerate(self.universe):
-            by_label.setdefault((v, 1 + i % 2), []).append(r)
-        for head, ranks in by_label.items():
+            self.labels.setdefault((v, 1 + i % 2), []).append(r)
+        for head, ranks in self.labels.items():
             partners = [
                 later
-                for label, later in by_label.items()
+                for label, later in self.labels.items()
                 if label[0] not in links[head[0]] and (reads is None or (head, label) in reads)
             ]
             for a in ranks:
@@ -198,15 +198,7 @@ class SpinAlgebra:
                     if sign < 0:
                         self._below[r] |= 1 << a
 
-    def rank(self, i: int, v: str) -> int:
-        try:
-            return self._rank[(i, v)]
-        except KeyError:
-            raise DomainError(f"generator ({i}, {v!r}) outside the index universe")
-
-    def apply_b(
-        self, state: dict[int, int], *ranks: int, cap: int | None = None, target=None
-    ) -> dict[int, int]:
+    def apply_b(self, state: dict[int, int], *ranks: int, cap: int | None = None) -> dict[int, int]:
         """Sum of the hopping operators ``ranks`` applied to every term.
 
         Each generator multiplies each term from the left: it toggles its
@@ -217,8 +209,7 @@ class SpinAlgebra:
         ``cap`` bounds how many of the slots ``ranks`` a result may occupy:
         a term already holding ``cap`` or more of them only has those
         flipped, so on a state holding at most ``cap + 1`` the result is the
-        plain one without the masks that hold more than ``cap``.  With
-        ``target`` only the masks that ``target`` holds are kept.
+        plain one without the masks that hold more than ``cap``.
         """
         flips = [(1 << r, self._below[r]) for r in ranks]
         if cap is not None:
@@ -237,8 +228,6 @@ class SpinAlgebra:
                         occupied ^= bit
             for bit, below in moves:
                 flipped = mask ^ bit
-                if target is not None and flipped not in target:
-                    continue
                 step = -coeff if (below & mask).bit_count() & 1 else coeff
                 total = out.get(flipped, 0) + step
                 if total:
@@ -313,7 +302,6 @@ def moment_s_word(
       m times holds at most m of its slots.  So after each step a term may
       hold no more slots of the applied label than the rest of its own
       half and the whole other half apply (the ``cap`` of ``apply_b``).
-    - The last left step keeps only the masks of the right half-state.
     - Flipping a slot reads its signs against the occupied smaller slots
       only.  Along each half the most slots of each label that a term can
       hold is known from the caps, so the algebra draws only the label
@@ -356,21 +344,14 @@ def moment_s_word(
     for v, spin in word:
         slots.setdefault(v, set()).update(range(spin - 1, 2 * n, 2))
     algebra = SpinAlgebra(signs, slots, reads)
-    ranks = {
-        (v, spin): [algebra.rank(i, v) for i in range(spin - 1, 2 * n, 2)]
-        for v, spin in counts[0] | counts[1]
-    }
-
-    def sweep(plan, target=None):
+    states = []
+    for plan in plans:
         state = {0: 1}
-        for step, (label, cap) in enumerate(plan, 1):
-            last = target if step == len(plan) else None
-            state = algebra.apply_b(state, *ranks[label], cap=cap, target=last)
-        return state
-
-    right = sweep(plans[1])
-    left = sweep(plans[0], target=right)
-    trace = sum(coeff * right[mask] for mask, coeff in left.items())
+        for label, cap in plan:
+            state = algebra.apply_b(state, *algebra.labels[label], cap=cap)
+        states.append(state)
+    left, right = states
+    trace = sum(coeff * right.get(mask, 0) for mask, coeff in left.items())
     return Fraction(trace, n**half)
 
 

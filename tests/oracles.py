@@ -7,8 +7,9 @@ merge and a greedy extraction of the smallest front-movable letter;
 creation and annihilation as two separate passes for the fused field
 operator of ``fock``, and the delta pairing of Fock states for their
 adjoint; the vacuum coefficient of a product of generators taken one left
-multiplication at a time for ``SpinAlgebra``, and one whole-string hash
-per pair for the seeded signs.  They do not call the kernels they certify
+multiplication at a time, with each generator's slot found by a scan of
+the universe, for ``SpinAlgebra``, and one whole-string hash per pair for
+the seeded signs.  They do not call the kernels they certify
 (``test_oracles_are_independent`` checks that).
 """
 
@@ -265,6 +266,11 @@ def every_index_algebra(signs, n: int) -> SpinAlgebra:
     return SpinAlgebra(signs, dict.fromkeys(signs.graph.vertices, range(n)))
 
 
+def rank(algebra: SpinAlgebra, i: int, v: str) -> int:
+    """The slot of generator (i, v) in the algebra's universe."""
+    return algebra.universe.index((i, v))
+
+
 def left_multiply(algebra: SpinAlgebra, mask: int, r: int) -> tuple[int, int]:
     """Multiply a basis subset by generator ``r`` from the left.
 
@@ -286,7 +292,7 @@ def vacuum_trace(algebra: SpinAlgebra, ranks) -> int:
 
 
 def vacuum_trace_labels(algebra: SpinAlgebra, labels) -> int:
-    return vacuum_trace(algebra, [algebra.rank(i, v) for i, v in labels])
+    return vacuum_trace(algebra, [rank(algebra, i, v) for i, v in labels])
 
 
 def seeded_sign(graph: SimplicialGraph, p: float, seed: int, i, v, j, w) -> int:

@@ -4,11 +4,14 @@ Hypothesis builds argv for every subcommand from small valid values mixed
 with malformed tokens and numbers.  ``main`` must return 0, 1, 2 or 3 and
 never raise; on exit 1 stderr names the usage error, and on exit 2 or 3
 stdout is empty and stderr is one ``graphmoments:`` line.  Sizes stay small (N and M at most 6, words of at
-most 8 letters), so every command that answers answers quickly.
+most 8 letters), so every command that answers answers quickly.  A fixed
+table holds every subcommand to the same contract on one 2,200-letter word
+with raised caps.
 """
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -188,10 +191,8 @@ def argvs(draw, graph_paths):
     return argv
 
 
-@REPLAY
-@given(st.data())
-def test_every_argv_ends_in_an_exit_code(graph_paths, data):
-    argv = data.draw(argvs(graph_paths))
+def run(argv) -> int:
+    """``main``'s exit code on argv, checked against the contract above."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -203,3 +204,75 @@ def test_every_argv_ends_in_an_exit_code(graph_paths, data):
         assert out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("graphmoments: ")
+    return code
+
+
+@REPLAY
+@given(st.data())
+def test_every_argv_ends_in_an_exit_code(graph_paths, data):
+    run(data.draw(argvs(graph_paths)))
+
+
+# One pair of each of 1,100 edgeless vertices, side by side: one pairing,
+# 1,100 deep.
+LONG_VERTICES = [f"v{k}" for k in range(1100)]
+LONG_WORD = " ".join(f"{v} {v}" for v in LONG_VERTICES)
+LONG_LABELED = " ".join(f"{v}:1 {v}:1" for v in LONG_VERTICES)
+LONG_PAIRING = ",".join(f"{e}-{e + 1}" for e in range(1, 2200, 2))
+LONG_LEN = ["--max-word-len", "3000"]
+LONG_ITERATIONS = ["--max-iterations", str(10**12)]
+LONG_CAPS = LONG_LEN + LONG_ITERATIONS
+
+# argv after the subcommand words and --graph, and the exit code
+LONG_TABLE = {
+    "normalize": (["normalize"], ["--word", LONG_WORD], 0),
+    "reduced": (["reduced"], ["--word", LONG_WORD], 0),
+    "equivalent": (["equivalent"], ["--word", LONG_WORD, "--word", LONG_WORD], 0),
+    "partitions-count": (["partitions", "count"], ["--word", LONG_LABELED, *LONG_LEN], 0),
+    "partitions-list": (["partitions", "list"], ["--word", LONG_LABELED, *LONG_LEN], 0),
+    "moment-partitions": (
+        ["moment"], ["--method", "partitions", "--word", LONG_LABELED, *LONG_CAPS], 0
+    ),
+    "moment-fock": (["moment"], ["--method", "fock", "--word", LONG_LABELED, *LONG_CAPS], 0),
+    "moment-matrix": (
+        ["moment"], ["--method", "matrix", "--word", LONG_LABELED, "--N", "1", *LONG_CAPS], 0
+    ),
+    # N^n = 2^2200 is over any budget
+    "moment-matrix-N2": (
+        ["moment"], ["--method", "matrix", "--word", LONG_LABELED, "--N", "2", *LONG_CAPS], 3
+    ),
+    "limit": (["limit"], ["--word", LONG_LABELED, "--theta", "0.5", *LONG_LEN], 0),
+    "compare": (
+        ["compare"], ["--word", LONG_LABELED, "--N-list", "1", "--seeds", "0", *LONG_CAPS], 0
+    ),
+    "t-estimate": (
+        ["clt", "t-estimate"],
+        ["--word", LONG_WORD, "--pairing", LONG_PAIRING, "--N", "1", *LONG_ITERATIONS],
+        0,
+    ),
+    "variance": (
+        ["clt", "variance"],
+        [
+            "--word", LONG_WORD, "--pairing", LONG_PAIRING,
+            "--M-list", "1", "--samples", "2", *LONG_ITERATIONS,
+        ],
+        0,
+    ),
+    # C(2,200, 2) sign entries are over the listing cap
+    "sign-dump": (["sign-dump"], ["--N", "1"], 3),
+}
+
+
+@pytest.fixture(scope="module")
+def long_graph(tmp_path_factory):
+    path = tmp_path_factory.mktemp("long") / "edgeless.json"
+    path.write_text(json.dumps({"vertices": LONG_VERTICES, "edges": []}))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(LONG_TABLE))
+def test_every_subcommand_takes_a_long_word(long_graph, name):
+    head, flags, expected = LONG_TABLE[name]
+    start = time.process_time()
+    assert run([*head, "--graph", long_graph, *flags]) == expected
+    assert time.process_time() - start < 5.0

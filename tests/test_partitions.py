@@ -113,6 +113,15 @@ def test_size_limit(single):
     assert len(enumerate_pairings(wide, cheap, max_len=18)) == 1
 
 
+def test_enumerate_pairings_takes_words_past_the_recursion_limit():
+    # one pair per vertex, 1,100 deep: deeper than Python's default
+    # recursion limit
+    graph = build_graph([f"v{k}" for k in range(1100)])
+    word = tuple((f"v{k}", 1) for k in range(1100) for _ in range(2))
+    pairings = enumerate_pairings(graph, word, max_len=len(word))
+    assert [p.pairs for p in pairings] == [tuple((e, e + 1) for e in range(1, 2200, 2))]
+
+
 def test_crossings_examples(edge2, noedge2):
     w = parse_labeled_word("a:1 b:1 a:1 b:1")
     p = PairPartition.from_pairs([(1, 3), (2, 4)], 4)

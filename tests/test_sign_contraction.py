@@ -2,9 +2,9 @@
 against direct sign queries, the t-estimate contraction against a
 brute-force sum over index tuples, and the split matrix-model moment, on
 every rotation of its word, against one sweep over every index of every
-vertex; with the sweep kernel's occupancy cap and target restriction
-against the plain kernel, and the algebra's restricted draws against its
-full ones."""
+vertex; with the sweep kernel's occupancy cap against the plain kernel,
+the algebra's restricted draws against its full ones, and its per-label
+slot ranks against the universe."""
 
 import itertools
 import random
@@ -28,7 +28,7 @@ from graphmoments import (
 from graphmoments.errors import DomainError, UnknownVertex
 from graphmoments.spinmodel import _cheapest_cut, sign_table
 from tests.conftest import ExplicitSigns, replay, small_graphs
-from tests.oracles import every_index_algebra, left_multiply, seeded_sign
+from tests.oracles import every_index_algebra, left_multiply, rank, seeded_sign
 
 REPLAY = replay(150)
 
@@ -291,7 +291,7 @@ def full_sweep_moment(signs, word, n):
     algebra = every_index_algebra(signs, 2 * n)
     state = {0: 1}
     for v, spin in reversed(word):
-        state = algebra.apply_b(state, *(algebra.rank(2 * i + spin - 1, v) for i in range(n)))
+        state = algebra.apply_b(state, *(rank(algebra, 2 * i + spin - 1, v) for i in range(n)))
     return Fraction(state.get(0, 0), n ** (len(word) // 2))
 
 
@@ -392,31 +392,38 @@ def held_states(draw, size, ranks, most):
 
 @REPLAY
 @given(st.data())
-def test_apply_b_cap_and_target_only_drop_masks(data):
+def test_apply_b_cap_only_drops_masks_over_the_cap(data):
     graph = data.draw(small_graphs(max_vertices=2))
     algebra = every_index_algebra(data.draw(sign_functions(graph, 4)), 4)
     size = len(algebra.universe)
     ranks = data.draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=4, unique=True))
     cap = data.draw(st.integers(0, len(ranks)))
     state = data.draw(held_states(size, ranks, cap + 1))
-    plain = algebra.apply_b(state, *ranks)
-    target = dict.fromkeys(
-        data.draw(st.lists(st.sampled_from(sorted(plain) or [0]))) +
-        data.draw(st.lists(st.integers(0, (1 << size) - 1), max_size=3)),
-        1,
-    )
 
     def held(mask):
         return sum(mask >> r & 1 for r in ranks)
 
-    capped = {m: c for m, c in plain.items() if held(m) <= cap}
-    assert algebra.apply_b(state, *ranks, cap=cap) == capped
-    assert algebra.apply_b(state, *ranks, target=target) == {
-        m: c for m, c in plain.items() if m in target
+    assert algebra.apply_b(state, *ranks, cap=cap) == {
+        m: c for m, c in algebra.apply_b(state, *ranks).items() if held(m) <= cap
     }
-    assert algebra.apply_b(state, *ranks, cap=cap, target=target) == {
-        m: c for m, c in capped.items() if m in target
+
+
+@REPLAY
+@given(st.data())
+def test_spin_algebra_labels_hold_the_ranks_of_their_slots(data):
+    graph = data.draw(small_graphs())
+    indices = {
+        v: data.draw(st.lists(st.integers(0, 7), max_size=4))
+        for v in data.draw(st.sets(st.sampled_from(graph.vertices)))
     }
+    algebra = SpinAlgebra(ConstantSigns(graph), indices)
+    # indices ascending within a vertex, so ranks in universe order
+    expected = {
+        (v, spin): [rank(algebra, i, v) for i in sorted(set(listed)) if i % 2 == spin - 1]
+        for v, listed in indices.items()
+        for spin in (1, 2)
+    }
+    assert algebra.labels == {label: ranks for label, ranks in expected.items() if ranks}
 
 
 @REPLAY
