@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 usage error, 2 invalid input (bad graph, word,
 partition or parameter), 3 exceeded budget.  All randomized commands take
 explicit seeds and print byte-identical output for identical flags.
+
+Each command imports the kernels it runs, so a process loads only its own
+route; the parser's defaults come from ``defaults``, which imports nothing.
 """
 
 from __future__ import annotations
@@ -13,10 +16,9 @@ import math
 import re
 import sys
 
-from . import cltlab, fock, partitions, spinmodel, words
+from . import defaults
 from .errors import BudgetExceeded, DomainError, GraphMomentsError
 from .graph import SimplicialGraph, load_graph
-from .partitions import PairPartition
 
 # Listing commands hold every row, then the whole output, in memory.
 MAX_LISTED_ROWS = 2 * 10**5
@@ -46,7 +48,9 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
 
 
-def _signs_from_args(graph: SimplicialGraph, args) -> spinmodel.SignFunction:
+def _signs_from_args(graph: SimplicialGraph, args):
+    from . import spinmodel
+
     if args.signs == "constant":
         return spinmodel.ConstantSigns(graph)
     return spinmodel.SeededSigns(graph, args.p, args.seed)
@@ -60,16 +64,22 @@ def _emit(args, human: str, payload: dict) -> None:
 
 
 def _cmd_normalize(graph: SimplicialGraph, args) -> None:
+    from . import words
+
     word = words.normalize(graph, words.parse_word(args.word))
     _emit(args, words.format_word(word), {"word": words.format_word(word)})
 
 
 def _cmd_reduced(graph: SimplicialGraph, args) -> None:
+    from . import words
+
     value = words.is_reduced(graph, words.parse_word(args.word))
     _emit(args, "true" if value else "false", {"value": value})
 
 
 def _cmd_equivalent(graph: SimplicialGraph, args) -> None:
+    from . import words
+
     if len(args.word) != 2:
         raise _UsageError("graphmoments equivalent: error: give --word exactly twice")
     w1, w2 = (words.parse_word(w) for w in args.word)
@@ -83,6 +93,8 @@ def _require_listable(rows: int, what: str) -> None:
 
 
 def _cmd_partitions(graph: SimplicialGraph, args) -> None:
+    from . import partitions
+
     word = partitions.parse_labeled_word(args.word)
     count = partitions.count_pairings(graph, word, args.match, args.max_word_len)
     try:
@@ -101,7 +113,9 @@ def _cmd_partitions(graph: SimplicialGraph, args) -> None:
 
 
 def _cmd_moment(graph: SimplicialGraph, args) -> None:
-    if args.match != partitions.MATCH_LABEL and args.method != "partitions":
+    from . import partitions
+
+    if args.match != defaults.MATCH_LABEL and args.method != "partitions":
         raise DomainError(
             f"--match {args.match} needs --method partitions; "
             f"the {args.method} route matches labels"
@@ -113,9 +127,13 @@ def _cmd_moment(graph: SimplicialGraph, args) -> None:
         )
         payload = {"value": value}
     elif args.method == "fock":
+        from . import fock
+
         value = fock.vacuum_moment(graph, word, args.max_word_len)
         payload = {"value": value}
     else:
+        from . import spinmodel
+
         partitions.validate_labeled_word(graph, word, args.max_word_len)
         signs = _signs_from_args(graph, args)
         value = spinmodel.moment_s_word(signs, word, args.N, args.max_iterations)
@@ -128,12 +146,16 @@ def _cmd_moment(graph: SimplicialGraph, args) -> None:
 
 
 def _cmd_limit(graph: SimplicialGraph, args) -> None:
+    from . import partitions
+
     word = partitions.parse_labeled_word(args.word)
     value = partitions.limit_moment(graph, word, args.theta, args.match, args.max_word_len)
     _emit(args, repr(value), {"value": value})
 
 
 def _cmd_compare(graph: SimplicialGraph, args) -> None:
+    from . import cltlab, partitions
+
     word = partitions.parse_labeled_word(args.word)
     rows = cltlab.convergence_sweep(
         graph,
@@ -148,16 +170,20 @@ def _cmd_compare(graph: SimplicialGraph, args) -> None:
 
 
 def _cmd_t_estimate(graph: SimplicialGraph, args) -> None:
+    from . import cltlab, partitions, words
+
     word = words.parse_word(args.word)
-    pairing = PairPartition.parse(args.pairing, len(word))
+    pairing = partitions.PairPartition.parse(args.pairing, len(word))
     signs = _signs_from_args(graph, args)
     value = cltlab.t_estimate(signs, graph, word, pairing, args.N, args.max_iterations)
     _emit(args, repr(value), {"value": value})
 
 
 def _cmd_variance(graph: SimplicialGraph, args) -> None:
+    from . import cltlab, partitions, words
+
     word = words.parse_word(args.word)
-    pairing = PairPartition.parse(args.pairing, len(word))
+    pairing = partitions.PairPartition.parse(args.pairing, len(word))
     result = cltlab.variance_sweep(
         graph,
         word,
@@ -172,6 +198,8 @@ def _cmd_variance(graph: SimplicialGraph, args) -> None:
 
 
 def _cmd_sign_dump(graph: SimplicialGraph, args) -> None:
+    from . import spinmodel
+
     if args.N < 0:
         raise DomainError(f"N must not be negative, got {args.N}")
     universe = 2 * args.N * len(graph.vertices)
@@ -203,12 +231,12 @@ def _subcommand(subparsers, name: str, help: str, func, *parents):
 def build_parser() -> argparse.ArgumentParser:
     graph = _option("--graph", required=True, help="path to a graph JSON file")
     output = _option("--output", choices=["human", "json"], default="human")
-    word_len = _option("--max-word-len", type=int, default=partitions.DEFAULT_MAX_WORD_LEN)
-    iterations = _option("--max-iterations", type=int, default=spinmodel.DEFAULT_BUDGET)
+    word_len = _option("--max-word-len", type=int, default=defaults.DEFAULT_MAX_WORD_LEN)
+    iterations = _option("--max-iterations", type=int, default=defaults.DEFAULT_BUDGET)
     word = _option("--word", required=True)
-    modes = [partitions.MATCH_LABEL, partitions.MATCH_VERTEX]
-    match = _option("--match", choices=modes, default=partitions.MATCH_LABEL)
-    sign_p = _option("--p", type=float, default=spinmodel.DEFAULT_P)
+    modes = [defaults.MATCH_LABEL, defaults.MATCH_VERTEX]
+    match = _option("--match", choices=modes, default=defaults.MATCH_LABEL)
+    sign_p = _option("--p", type=float, default=defaults.DEFAULT_P)
     seed = _option("--seed", type=int, default=0)
     signs = _option("--signs", choices=["seeded", "constant"], default="seeded")
     pairing = _option("--pairing", required=True, help="e.g. '1-3,2-4'")

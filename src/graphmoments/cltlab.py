@@ -6,20 +6,18 @@ sweeps against the exact limit moments, and variance-decay measurements.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from .defaults import DEFAULT_BUDGET, DEFAULT_MAX_WORD_LEN, DEFAULT_P
 from .errors import BudgetExceeded, DomainError, SizeLimit
 from .graph import SimplicialGraph
 from .partitions import (
-    DEFAULT_MAX_WORD_LEN,
     LabeledWord,
     PairPartition,
     crossings,
     limit_moment,
 )
 from .spinmodel import (
-    DEFAULT_BUDGET,
-    DEFAULT_P,
     SeededSigns,
     SignFunction,
     check_summand_count,
@@ -32,8 +30,7 @@ Word = tuple[str, ...]
 MAX_LABELS = 52
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     n: int
     seed: int
     estimate: float
@@ -44,15 +41,13 @@ class SweepRow:
         return abs(self.estimate - self.exact)
 
 
-@dataclass(frozen=True)
-class VarianceRow:
+class VarianceRow(NamedTuple):
     m: int
     samples: int
     variance: float
 
 
-@dataclass(frozen=True)
-class VarianceSweepResult:
+class VarianceSweepResult(NamedTuple):
     rows: tuple[VarianceRow, ...]
     slope: float
     degenerate: bool

@@ -23,13 +23,9 @@ from collections import Counter
 from itertools import groupby
 from operator import itemgetter
 
+from .defaults import DEFAULT_MAX_WORD_LEN
 from .graph import SimplicialGraph
-from .partitions import (
-    DEFAULT_MAX_WORD_LEN,
-    LabeledWord,
-    Letter,
-    validate_labeled_word,
-)
+from .partitions import LabeledWord, Letter, validate_labeled_word
 from .words import normal_form_order
 
 BasisWord = tuple[Letter, ...]

@@ -10,38 +10,58 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
 from .errors import DuplicateVertex, InvalidToken, LoopEdge, UnknownVertex
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
-@dataclass(frozen=True)
 class SimplicialGraph:
     """Undirected graph without loops or multiple edges.
 
     Immutable after construction; safe to share between threads.  Build
     instances through :func:`build_graph` (or the JSON helpers), which
-    validate and canonicalize the input.
+    validate and canonicalize the input.  Two graphs are equal when their
+    vertices and edges are.
     """
 
-    vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
-    # Unchecked link lookup, for callers that validated their vertices at
-    # their entry point; ``link`` is the checked form.
-    adjacency: dict[str, frozenset[str]] = field(
-        init=False, repr=False, compare=False
-    )
+    # ``adjacency`` is the unchecked link lookup, for callers that
+    # validated their vertices at their entry point; ``link`` is the
+    # checked form.
+    __slots__ = ("vertices", "edges", "adjacency")
 
-    def __post_init__(self) -> None:
-        adjacency: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for v, w in self.edges:
+    def __init__(
+        self, vertices: tuple[str, ...], edges: frozenset[tuple[str, str]]
+    ) -> None:
+        adjacency: dict[str, set[str]] = {v: set() for v in vertices}
+        for v, w in edges:
             adjacency[v].add(w)
             adjacency[w].add(v)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
         object.__setattr__(
             self, "adjacency", {v: frozenset(ns) for v, ns in adjacency.items()}
         )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        return f"SimplicialGraph(vertices={self.vertices!r}, edges={self.edges!r})"
+
+    def __reduce__(self):
+        return SimplicialGraph, (self.vertices, self.edges)
 
     def require_vertex(self, v: str) -> None:
         if v not in self.adjacency:

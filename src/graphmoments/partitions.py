@@ -16,8 +16,9 @@ outside {0, 1} builds the whole polynomial.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from .defaults import DEFAULT_MAX_WORD_LEN, MATCH_LABEL, MATCH_VERTEX
 from .errors import (
     DomainError,
     InvalidToken,
@@ -30,11 +31,6 @@ Letter = tuple[str, int]
 LabeledWord = tuple[Letter, ...]
 
 SPINS = (1, 2)
-
-MATCH_LABEL = "label"
-MATCH_VERTEX = "vertex"
-
-DEFAULT_MAX_WORD_LEN = 16
 
 
 def parse_labeled_word(text: str) -> LabeledWord:
@@ -66,8 +62,7 @@ def validate_labeled_word(
         raise SizeLimit(f"word length {len(word)} exceeds the cap {max_len}")
 
 
-@dataclass(frozen=True)
-class PairPartition:
+class PairPartition(NamedTuple):
     """Perfect matching of positions 1..n, stored sorted by opener."""
 
     pairs: tuple[tuple[int, int], ...]

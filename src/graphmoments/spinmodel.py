@@ -19,15 +19,10 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
+from .defaults import DEFAULT_BUDGET, DEFAULT_P
 from .errors import BudgetExceeded, DomainError, OddN
 from .graph import SimplicialGraph
 from .partitions import LabeledWord, validate_labeled_word
-
-DEFAULT_BUDGET = 10**8
-
-# Probability of a +1 sign: unbiased signs, theta = 2p - 1 = 0, the regime
-# of the central limit theorem.
-DEFAULT_P = 0.5
 
 GeneratorIndex = tuple[int, str]
 

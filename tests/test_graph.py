@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 
@@ -21,6 +23,21 @@ def test_edge_dedup_and_symmetrization():
     g1 = build_graph(["a", "b"], [("a", "b"), ("b", "a"), ("a", "b")])
     g2 = build_graph(["a", "b"], [("a", "b")])
     assert g1 == g2
+
+
+def test_graph_is_an_immutable_value():
+    g = build_graph(["b", "a"], [("b", "a")])
+    same = build_graph(["a", "b"], [("a", "b")])
+    assert g == same and hash(g) == hash(same)
+    assert g != build_graph(["a", "b"])
+    assert repr(g) == "SimplicialGraph(vertices=('a', 'b'), edges=frozenset({('a', 'b')}))"
+    for attr in ("vertices", "edges", "adjacency", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(g, attr)
+    for twin in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert twin == g and twin.adjacency == g.adjacency
 
 
 def test_loop_edge_rejected():

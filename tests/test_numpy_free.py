@@ -1,5 +1,7 @@
-"""numpy is imported by the clt kernels only: every other command, and every
-rejected input, runs without it."""
+"""What a process imports.  ``import graphmoments`` loads no submodule, and
+each command loads only the modules of its own route: numpy only in the clt
+kernels, so every other command and every rejected input runs without it,
+and dataclasses in no command."""
 
 import ast
 import json
@@ -15,40 +17,90 @@ import graphmoments
 PACKAGE = Path(graphmoments.__file__).resolve().parent
 
 # Runs cli.main on its arguments in a fresh interpreter and reports the exit
-# code, stdout and whether numpy was imported.
+# code, stdout, whether numpy and dataclasses were imported, and the
+# package's submodules that were.
 RUN_MAIN = """
 import contextlib, io, json, sys
 from graphmoments import cli
 out = io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "out": out.getvalue(), "numpy": "numpy" in sys.modules}))
+print(json.dumps({
+    "code": code,
+    "out": out.getvalue(),
+    "numpy": "numpy" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
+    "modules": sorted(m for m in sys.modules if m.startswith("graphmoments.")),
+}))
+"""
+
+# Imports the package in a fresh interpreter and reports what it loaded, the
+# exported names that differ from their home module's or that a star import
+# leaves unbound, and the error an unknown name raises.
+LAZY_EXPORTS = """
+import json, sys
+import graphmoments
+loaded = sorted(m for m in sys.modules if m.startswith("graphmoments."))
+mismatched = []
+for name in graphmoments.__all__:
+    value = getattr(graphmoments, name)
+    home = sys.modules[value.__module__]
+    if not home.__name__.startswith("graphmoments.") or vars(home)[name] is not value:
+        mismatched.append(name)
+star = {}
+exec("from graphmoments import *", star)
+unbound = [n for n in graphmoments.__all__ if star.get(n) is not getattr(graphmoments, n)]
+try:
+    graphmoments.no_such_name
+    error = None
+except AttributeError as exc:
+    error = str(exc)
+print(json.dumps({"loaded": loaded, "mismatched": mismatched, "unbound": unbound,
+                  "error": error}))
 """
 
 A4 = "a:1 a:1 a:1 a:1"
 T_ESTIMATE = ["clt", "t-estimate", "--word", "a a a a", "--pairing", "1-3,2-4"]
 VARIANCE = ["clt", "variance", "--word", "a a a a", "--pairing", "1-3,2-4"]
 
+# What every command loads: the parser, its defaults and the graph loader.
+CLI = {"cli", "defaults", "errors", "graph"}
+WORDS = CLI | {"words"}
+PAIRINGS = CLI | {"partitions"}
+MATRIX = PAIRINGS | {"spinmodel"}
+CLT = MATRIX | {"words", "cltlab"}
+
 WITHOUT_NUMPY = {
-    "normalize": (["normalize", "--word", "a b a"], 0),
-    "reduced": (["reduced", "--word", "a b a"], 0),
-    "equivalent": (["equivalent", "--word", "a b", "--word", "b a"], 0),
-    "partitions-count": (["partitions", "count", "--word", A4], 0),
-    "partitions-list": (["partitions", "list", "--word", A4], 0),
-    "moment-partitions": (["moment", "--method", "partitions", "--word", A4], 0),
-    "moment-fock": (["moment", "--method", "fock", "--word", A4], 0),
-    "moment-matrix": (["moment", "--method", "matrix", "--word", A4, "--N", "4"], 0),
-    "limit": (["limit", "--word", A4, "--theta", "-1e-05"], 0),
-    "compare": (["compare", "--word", A4, "--N-list", "2,4", "--seeds", "0,1"], 0),
-    "sign-dump": (["sign-dump", "--N", "2"], 0),
-    "invalid-input": (["normalize", "--word", "a z"], 2),
+    "normalize": (["normalize", "--word", "a b a"], 0, WORDS),
+    "reduced": (["reduced", "--word", "a b a"], 0, WORDS),
+    "equivalent": (["equivalent", "--word", "a b", "--word", "b a"], 0, WORDS),
+    "partitions-count": (["partitions", "count", "--word", A4], 0, PAIRINGS),
+    "partitions-list": (["partitions", "list", "--word", A4], 0, PAIRINGS),
+    "moment-partitions": (["moment", "--method", "partitions", "--word", A4], 0, PAIRINGS),
+    "moment-fock": (
+        ["moment", "--method", "fock", "--word", A4], 0, PAIRINGS | {"fock", "words"}
+    ),
+    "moment-matrix": (
+        ["moment", "--method", "matrix", "--word", A4, "--N", "4"], 0, MATRIX
+    ),
+    "limit": (["limit", "--word", A4, "--theta", "-1e-05"], 0, PAIRINGS),
+    "compare": (
+        ["compare", "--word", A4, "--N-list", "2,4", "--seeds", "0,1"],
+        0,
+        MATRIX | {"cltlab"},
+    ),
+    "sign-dump": (["sign-dump", "--N", "2"], 0, MATRIX),
+    "invalid-input": (["normalize", "--word", "a z"], 2, WORDS),
     "over-budget": (
         ["moment", "--method", "matrix", "--word", "a:1 a:1", "--N", "64",
          "--max-iterations", "1000"],
         3,
+        MATRIX,
     ),
-    "t-estimate-invalid-input": (T_ESTIMATE + ["--N", "0"], 2),
-    "variance-over-budget": (VARIANCE + ["--M-list", "4", "--samples", str(10**8)], 3),
+    "t-estimate-invalid-input": (T_ESTIMATE + ["--N", "0"], 2, CLT),
+    "variance-over-budget": (
+        VARIANCE + ["--M-list", "4", "--samples", str(10**8)], 3, CLT
+    ),
 }
 
 
@@ -59,20 +111,35 @@ def graph_path(tmp_path_factory):
     return str(path)
 
 
-def run_fresh(argv):
+def run_fresh(script, *argv):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     proc = subprocess.run(
-        [sys.executable, "-c", RUN_MAIN, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, check=True,
     )
     return json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("argv, code", WITHOUT_NUMPY.values(), ids=WITHOUT_NUMPY.keys())
-def test_command_runs_without_numpy(graph_path, argv, code):
-    result = run_fresh(argv + ["--graph", graph_path])
+@pytest.fixture(scope="module")
+def bare_has_dataclasses():
+    """Whether the interpreter imports dataclasses before any of our code."""
+    script = 'import json, sys; print(json.dumps("dataclasses" in sys.modules))'
+    return run_fresh(script)
+
+
+def assert_loaded(result, modules, bare_has_dataclasses):
+    assert result["modules"] == sorted(f"graphmoments.{m}" for m in modules)
+    assert not result["dataclasses"] or bare_has_dataclasses
+
+
+@pytest.mark.parametrize(
+    "argv, code, modules", WITHOUT_NUMPY.values(), ids=WITHOUT_NUMPY.keys()
+)
+def test_command_runs_without_numpy(graph_path, bare_has_dataclasses, argv, code, modules):
+    result = run_fresh(RUN_MAIN, *argv, "--graph", graph_path)
     assert result["code"] == code
     assert not result["numpy"]
+    assert_loaded(result, modules, bare_has_dataclasses)
 
 
 @pytest.mark.parametrize(
@@ -84,10 +151,19 @@ def test_command_runs_without_numpy(graph_path, argv, code):
     ],
     ids=["t-estimate", "variance"],
 )
-def test_clt_kernels_load_numpy(graph_path, argv, out):
-    result = run_fresh(argv + ["--graph", graph_path])
+def test_clt_kernels_load_numpy(graph_path, bare_has_dataclasses, argv, out):
+    result = run_fresh(RUN_MAIN, *argv, "--graph", graph_path)
     assert (result["code"], result["out"]) == (0, out)
     assert result["numpy"]
+    assert_loaded(result, CLT, bare_has_dataclasses)
+
+
+def test_package_import_loads_no_submodule_and_exports_lazily():
+    result = run_fresh(LAZY_EXPORTS)
+    assert result["loaded"] == []
+    assert result["mismatched"] == []
+    assert result["unbound"] == []
+    assert "no_such_name" in result["error"]
 
 
 def _module_level(body):

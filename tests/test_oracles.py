@@ -44,6 +44,8 @@ UNNAMED_IN_SRC = {
     "gamma_crossing_pairs",
     # argparse calls this hook of its parser on every usage error
     "_Parser.error",
+    # Python calls a module's __getattr__ for names it has not yet bound
+    "__getattr__",
 }
 
 
