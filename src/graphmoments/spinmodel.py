@@ -246,6 +246,34 @@ def check_summand_count(word: LabeledWord, n: int, budget: int) -> None:
         raise BudgetExceeded(f"N^n = {n}^{len(word)} exceeds the budget {budget}")
 
 
+def _cancel_commuting_pairs(
+    graph: SimplicialGraph, word: LabeledWord, met: Counter
+) -> LabeledWord:
+    """The word without each pair of a label met twice whose letters
+    between lie on vertices of that label's link.
+
+    Left to right, a letter x met twice scans back through the kept letters
+    past those on x's link; if the scan reaches the other x, both are
+    dropped.  Its own vertex is not on its link, so the other spin of that
+    vertex blocks the scan.  A letter blocks x exactly when x would block
+    it, so no later drop frees a pair the pass has passed over.  At most
+    n² comparisons.  Unchecked: the vertices must belong to the graph.
+    """
+    adjacency = graph.adjacency
+    kept: list[tuple[str, int]] = []
+    for x in word:
+        if met[x] == 2:
+            link = adjacency[x[0]]
+            k = len(kept) - 1
+            while k >= 0 and kept[k][0] in link:
+                k -= 1
+            if k >= 0 and kept[k] == x:
+                del kept[k]
+                continue
+        kept.append(x)
+    return tuple(kept)
+
+
 def _cheapest_cut(word: LabeledWord) -> int:
     """The first rotation k of an even-length word whose halves
     ``word[k:k + n/2]`` and the rest share the fewest applications:
@@ -290,7 +318,18 @@ def moment_s_word(
 
     Only what can reach the trace is computed, and every step is exact:
 
-    - The vacuum entry is a trace, so the word is first rotated to the
+    - A label met an odd number of times leaves one of its slots used an
+      odd number of times in every term, so the trace is 0.
+    - A label x met exactly twice, with only letters of vertices adjacent
+      to x's between its two occurrences, contributes a factor 1, and the
+      pair is deleted (``_cancel_commuting_pairs``).  The letters between
+      commute with every generator of x, so the pair becomes
+      B_x² = N⁻¹ Σ_{r,r'} g_r g_r'.  No other letter uses x's slots, so a
+      term with r ≠ r' leaves a slot used once and has trace 0, which
+      leaves N⁻¹ · N · tr(rest) = tr(rest) for every sign function.  So
+      ``a:1 b:1 a:1 b:1`` on an edge a–b answers 1 without building an
+      algebra.
+    - The vacuum entry is a trace, so the word is then rotated to the
       cut whose halves share the fewest applications of a label
       (``_cheapest_cut``).
     - The halves meet only on equal masks, and a half that applies label x
@@ -303,15 +342,18 @@ def moment_s_word(
       pairs (x, y) whose x slots a term can hold while the sum of y is
       applied.
 
-    The raw count N^n must stay within the budget.
+    The raw count N^n of the word as given must stay within the budget.
     """
     graph = signs.graph
     validate_labeled_word(graph, word)
     check_summand_count(word, n, budget)
-    length = len(word)
-    if length % 2:
+    met = Counter(word)
+    if any(count % 2 for count in met.values()):
         return Fraction(0)
-    half = length // 2
+    word = _cancel_commuting_pairs(graph, word, met)
+    if not word:
+        return Fraction(1)
+    half = len(word) // 2
     cut = _cheapest_cut(word)
     word = word[cut:] + word[:cut]
     # each half in the order its sums are applied to the vacuum

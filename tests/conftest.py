@@ -47,10 +47,12 @@ def replay(max_examples):
 
 
 @st.composite
-def small_graphs(draw, min_vertices=1, max_vertices=4):
-    """Graphs on the first k of the vertices a..f, each edge drawn alike."""
+def small_graphs(draw, min_vertices=1, max_vertices=4, dense=False):
+    """Graphs on the first k of the vertices a..f, each edge drawn alike:
+    with probability 1/2, or 3/4 when ``dense``."""
     vertices = "abcdef"[: draw(st.integers(min_vertices, max_vertices))]
-    edges = [e for e in itertools.combinations(vertices, 2) if draw(st.booleans())]
+    edge = st.integers(0, 3).map(bool) if dense else st.booleans()
+    edges = [e for e in itertools.combinations(vertices, 2) if draw(edge)]
     return build_graph(list(vertices), edges)
 
 

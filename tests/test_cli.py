@@ -343,6 +343,20 @@ def test_budget_exceeded_exits_3(capsys, graph_files):
         assert len(err.splitlines()) == 1 and "exceeds the budget" in err
 
 
+def test_matrix_exit_codes_read_the_word_as_given(capsys, graph_files):
+    # a-b is an edge, so the pairs of each word would all cancel; the
+    # checks come before the cancellation and see every letter
+    moment = ["moment", "--method", "matrix", "--graph", graph_files["edge2"]]
+    for flags, expected in (
+        (["--N", "1", "--word", "a:1 b:2 b:2 a:1"], 2),  # spin 2 at N = 1
+        (["--N", "200", "--word", "a:1 b:1 a:1 b:1"], 3),  # 200^4 > 10^8
+        (["--N", "2", "--word", "a:1 z:1 z:1 a:1"], 2),  # z is no vertex
+    ):
+        code, out, err = run(capsys, moment + flags)
+        assert (code, out, len(err.splitlines())) == (expected, "", 1), flags
+    assert run(capsys, [*moment, "--N", "2", "--word", "a:1 b:1 a:1 b:1"])[:2] == (0, "1\n")
+
+
 @pytest.mark.parametrize(
     "argv, cap",
     [

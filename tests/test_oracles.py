@@ -9,9 +9,11 @@ from pathlib import Path
 # neither the sign classes nor their label key or row primitive.  The
 # creation and annihilation oracles find the front-movable block
 # themselves: they name neither the fused field operator nor its front scan.
+# The sweep oracles apply every letter: they name no pass that cancels pairs.
 KERNELS = {
     "normalize", "normal_form_order", "apply_b", "apply_field",
     "_front", "SignFunction", "SeededSigns", "_key", "_row", "_matrix",
+    "_cancel_commuting_pairs",
 }
 
 

@@ -1,14 +1,16 @@
 """Differential tests of the sign layer's consumers: the sign matrices
 against direct sign queries, the t-estimate contraction against a
 brute-force sum over index tuples, and the split matrix-model moment, on
-every rotation of its word, against one sweep over every index of every
-vertex; with the sweep kernel's occupancy cap against the plain kernel,
-the algebra's restricted draws against its full ones, and its per-label
-slot ranks against the universe."""
+every rotation of its word and on words whose commuting pairs cancel,
+against one sweep over every index of every vertex; with the sweep
+kernel's occupancy cap against the plain kernel, the algebra's restricted
+draws against its full ones, and its per-label slot ranks against the
+universe."""
 
 import itertools
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,7 @@ from graphmoments import (
     t_estimate,
 )
 from graphmoments.errors import DomainError, UnknownVertex
-from graphmoments.spinmodel import _cheapest_cut, sign_table
+from graphmoments.spinmodel import _cancel_commuting_pairs, _cheapest_cut, sign_table
 from tests.conftest import ExplicitSigns, replay, small_graphs
 from tests.oracles import every_index_algebra, left_multiply, rank, seeded_sign
 
@@ -370,6 +372,71 @@ def test_cheapest_cut_is_the_first_cheapest_rotation(letters):
     assert _cheapest_cut(word) == min(range(half), key=shared, default=0)
 
 
+@st.composite
+def words_with_commuting_pairs(draw, graph, spins):
+    """A random word into which pairs x ... x are put, each around a run of
+    letters on the link of x's vertex, so that pairs nest and sit side by
+    side; at most 8 letters."""
+    labels = [(v, spin) for v in graph.vertices for spin in spins]
+    word = draw(st.lists(st.sampled_from(labels), max_size=4))
+    if draw(st.booleans()):  # every label met an even number of times
+        word = list(draw(st.permutations(word[:2] * 2)))
+    for _ in range(draw(st.integers(0, (8 - len(word)) // 2))):
+        x = draw(st.sampled_from(labels))
+        start = draw(st.integers(0, len(word)))
+        end = start
+        while end < len(word) and graph.is_edge(x[0], word[end][0]):
+            end += 1
+        end = draw(st.integers(start, end))
+        word[start:end] = [x, *word[start:end], x]
+    return tuple(word)
+
+
+@REPLAY
+@given(st.data())
+def test_commuting_pairs_cancel_exactly(data):
+    graph = data.draw(small_graphs(max_vertices=4, dense=True))
+    n = data.draw(st.sampled_from([1, 2, 4]))
+    word = data.draw(words_with_commuting_pairs(graph, [1] if n == 1 else [1, 2]))
+    signs = dense_signs(graph, 2 * n, data.draw(st.integers(0, 2**32)))
+    assert moment_s_word(signs, word, n) == full_sweep_moment(signs, word, n)
+    # one pass cancels every pair it can: a second finds none
+    met = Counter(word)
+    if not any(count % 2 for count in met.values()):
+        once = _cancel_commuting_pairs(graph, word, met)
+        assert _cancel_commuting_pairs(graph, once, Counter(once)) == once
+
+
+def test_a_commuting_pair_keys_none_of_its_slots():
+    # a-c is an edge, so the a:1 pair around c:1 cancels, and only the
+    # 4 + 4 slots of c and b are keyed, not the 4 of a as well
+    graph = build_graph(["a", "b", "c"], [("a", "c")])
+    word = parse_labeled_word("a:1 c:1 a:1 b:1 c:1 b:1")
+    signs = CountingSigns(graph)
+    assert moment_s_word(signs, word, 4) == full_sweep_moment(SeededSigns(graph, 0.5, 7), word, 4)
+    assert len(signs.keyed) == 8 and all(v != "a" for _, v in signs.keyed)
+
+
+def test_nested_commuting_pairs_empty_a_long_word():
+    vertices = [f"v{k}" for k in range(1100)]
+    signs = CountingSigns(build_graph(vertices))
+    word = tuple((v, 1) for v in vertices + vertices[::-1])
+    start = time.process_time()
+    assert moment_s_word(signs, word, 1) == 1
+    assert time.process_time() - start < 1.0
+    assert signs.keyed == []
+
+
+@pytest.mark.parametrize("word", ["a:1 b:1", "a:1 a:1 a:1 b:2"])
+def test_a_label_met_an_odd_number_of_times_gives_0_at_once(word):
+    graph = build_graph(["a", "b"])
+    letters = parse_labeled_word(word)
+    signs = CountingSigns(graph)
+    assert moment_s_word(signs, letters, 2) == 0
+    assert signs.keyed == signs.queries == []
+    assert full_sweep_moment(signs, letters, 2) == 0
+
+
 def test_moment_of_the_empty_word_is_one():
     graph = build_graph(["a", "b"])
     for signs in (ConstantSigns(graph), SeededSigns(graph, 0.5, 3), CountingSigns(graph)):
@@ -459,12 +526,14 @@ def test_spin_algebra_draws_only_the_read_label_pairs(data):
         # the sum of a once and that of b once, so only the a-b pairs are
         # read: N^2, not N^2 + 2 C(N, 2) = 28 nor C(16, 2)
         ("ab", "a:1 b:2 a:1 b:2", 4, {(0, "a"), (1, "b")}, 16, Fraction(3, 8)),
-        # cut as b b | a a, each half applies one label twice, and a term
-        # holding a slot at the second step may only empty it: no pair is
-        # read, where the cut a b | b a reads the N^2 a-b pairs
+        # both pairs cancel before any algebra is built: no pair is read
         ("ab", "a:1 b:2 b:2 a:1", 4, {(0, "a"), (1, "b")}, 0, 1),
-        # each half applies one sum to the vacuum and reads no sign
         ("a", "a:1 a:1", 2000, {(0, "a")}, 0, 1),
+        # nothing cancels, as c lies between the two a and the two b; cut
+        # as a c a | b c b, a term holding a slot of a at the second a may
+        # only empty it, so no a-a pair is read, nor b-b: only the N^2 a-c
+        # and N^2 b-c pairs
+        ("abc", "a:1 c:1 a:1 b:1 c:1 b:1", 4, {(0, "a"), (0, "b"), (0, "c")}, 32, Fraction(1, 8)),
     ],
 )
 def test_moment_s_word_draws_only_the_word_slots(vertices, word, n, slots, pairs, value):
