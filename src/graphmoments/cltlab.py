@@ -5,7 +5,10 @@ sweeps against the exact limit moments, and variance-decay measurements.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .defaults import DEFAULT_BUDGET, DEFAULT_MAX_WORD_LEN, DEFAULT_P
@@ -82,10 +85,10 @@ def _estimate(signs: SignFunction, word: Word, pairs, n: int) -> float:
     gives for ``word`` and that N passed ``_check_size``.
 
     The sum is one exact integer contraction over the blocks that have a
-    graph crossing: each graph crossing is a factor, the sign matrix of its
-    two vertices over the indices 1..N, and each two such blocks of one
-    vertex a factor, the mask i != j.  A block with no graph crossing only
-    has to avoid the indices of its vertex's other blocks, so those blocks
+    graph crossing: each graph crossing is a factor, the signs of its two
+    vertices over the indices 1..N, and each two such blocks of one vertex
+    a factor, the mask i != j.  A block with no graph crossing only has to
+    avoid the indices of its vertex's other blocks, so those blocks
     contribute a falling factorial and allocate nothing.
     """
     r = len(pairs)
@@ -95,37 +98,18 @@ def _estimate(signs: SignFunction, word: Word, pairs, n: int) -> float:
     blocks_of = Counter(vertices)
     if max(blocks_of.values(), default=0) > n:  # more blocks than indices
         return 0.0
-    crossing_pairs = crossings(signs.graph, word, pairs)[1]
-    crossed = sorted({b for pair in crossing_pairs for b in pair})
-    if len(crossed) > MAX_LABELS:
-        raise SizeLimit(
-            f"{len(crossed)} crossing blocks exceed the {MAX_LABELS} labels"
-            " of one contraction"
-        )
-    import numpy as np
-
-    label = {b: k for k, b in enumerate(crossed)}
-    matrices: dict[tuple[str, str], np.ndarray] = {}
-    factors: dict[tuple[int, int], np.ndarray] = {}
-    for k, l in crossing_pairs:
-        # orient the factor so that it reads the one matrix of its vertex pair
+    factors: dict[tuple[int, int], tuple[str, str] | None] = {}
+    for k, l in crossings(signs.graph, word, pairs)[1]:
+        # orient the factor so that it reads the one sign block of its vertex pair
         if vertices[l] < vertices[k]:
             k, l = l, k
-        key = (vertices[k], vertices[l])
-        if key not in matrices:
-            matrices[key] = signs._matrix(*key, n)
-        factors[k, l] = matrices[key]
-    same_vertex = [
-        (k, l) for a, k in enumerate(crossed) for l in crossed[a + 1 :]
-        if vertices[k] == vertices[l]
-    ]
-    if same_vertex:
-        distinct = 1 - np.eye(n, dtype=np.int8)
-        for key in same_vertex:
-            factors[key] = factors[key] * distinct if key in factors else distinct
-    total = _sum_of_products(
-        [(factor, [label[k], label[l]]) for (k, l), factor in factors.items()]
-    )
+        factors[k, l] = (vertices[k], vertices[l])
+    crossed = sorted({b for pair in factors for b in pair})
+    for a, k in enumerate(crossed):
+        for l in crossed[a + 1 :]:
+            if vertices[k] == vertices[l]:
+                factors.setdefault((k, l), None)
+    total = _sum_of_products(signs, n, factors)
     crossed_of = Counter(vertices[b] for b in crossed)
     for v, count in blocks_of.items():
         for k in range(crossed_of[v], count):
@@ -155,37 +139,159 @@ def _check_size(name: str, n: int, r: int, budget: int) -> None:
         raise BudgetExceeded(f"N^(n/2) = {n}^{r} overflows the 64-bit integer sum")
 
 
-def _sum_of_products(factors: list[tuple]) -> int:
-    """Exact sum, over every value of every label, of a product of factors.
+def _sum_of_products(signs: SignFunction, n: int, factors: dict) -> int:
+    """Exact sum, over every value in 1..n of every label, of a product of
+    sign factors.
 
-    Each factor is a tensor with one axis per label it lists.  Labels are
-    eliminated one at a time, each time the one that shares factors with
-    the fewest other labels: the factors carrying it are contracted into
-    one int64 tensor over those other labels, and it is summed out.  So
-    every tensor made has fewer axes than there are labels.
+    ``factors`` maps each pair of labels (k, l) to the vertex pair (v, w)
+    whose signs it reads, ``F[i, j] = signs(i, v, j, w)`` at k = i and
+    l = j, with v <= w not adjacent, or to None for the mask i != j alone.
+    A factor of one vertex, v == w, is masked too.  Each vertex pair's
+    signs are drawn once.
+
+    Labels are eliminated one at a time.  While some label x has exactly
+    one factor F(x, y) left, x is replaced by the weight w[i] = sum_j
+    F[i, j] u[j] on y, where u is the weight x carries (all ones at first);
+    w is summed in Python ints as the rows of F are drawn, so no matrix is
+    held, and the leaf whose rows collapse by a dot goes first.  When y has
+    no other factor it is summed out with x.  What no leaf reaches is a
+    core of cycles.  There the label that shares factors with the fewest
+    other labels goes first: numpy contracts the factors and weights
+    carrying it into one int64 tensor over those other labels, so every
+    tensor made has fewer axes than there are labels.
     """
+    reads = Counter(factors.values())
+    matrices = {}
+
+    def matrix(key):
+        if key not in matrices:
+            matrices[key] = signs._matrix(*key, n)
+        return matrices[key]
+
+    def rows(key):
+        if reads[key] == 1:
+            return signs._rows(*key, n)
+        # read by more than one factor, so drawn once, as a matrix; in
+        # t_estimate the masks close such factors into a cycle
+        square = matrix(key).tolist()
+        return square if key[0] != key[1] else [row[a + 1 :] for a, row in enumerate(square)]
+
+    factors = dict(factors)
+    incident: dict[int, set] = {}
+    for pair in factors:
+        for x in pair:
+            incident.setdefault(x, set()).add(pair)
+
+    def scatters(x):
+        """Whether eliminating leaf x spreads each row over the columns."""
+        (pair,) = incident[x]
+        key = factors[pair]
+        y = pair[x == pair[0]]
+        return len(incident[y]) > 1 and key is not None and (key[0] == key[1] or y == pair[1])
+
+    weights: dict[int, list[int]] = {}
+    total = 1
+    while leaves := [x for x, around in incident.items() if len(around) == 1]:
+        x = min(leaves, key=scatters)
+        (pair,) = incident.pop(x)
+        k = pair[0]
+        key = factors.pop(pair)
+        y = pair[x == k]
+        incident[y].remove(pair)
+        u = weights.pop(x, None)
+        drawn = None if key is None else rows(key)
+        upper = key is not None and key[0] == key[1]
+        if not incident[y]:
+            del incident[y]
+            uk, ul = (u, weights.pop(y, None)) if x == k else (weights.pop(y, None), u)
+            total *= _close(drawn, uk, ul, n, upper)
+        else:
+            w = _apply(drawn, u, n, y == k, upper)
+            weights[y] = w if y not in weights else list(map(mul, weights[y], w))
+    if not factors:
+        return total
+
     import numpy as np
 
-    total = 1
-    while factors:
+    labels = sorted(incident)
+    if len(labels) > MAX_LABELS:
+        raise SizeLimit(
+            f"{len(labels)} crossing blocks on cycles exceed the {MAX_LABELS}"
+            " labels of one contraction"
+        )
+    axis = {x: a for a, x in enumerate(labels)}
+    distinct = 1 - np.eye(n, dtype=np.int8)
+    tensors = [(np.array(w, dtype=np.int64), [axis[x]]) for x, w in weights.items()]
+    for (k, l), key in factors.items():
+        if key is None:
+            tensor = distinct
+        elif key[0] == key[1]:
+            tensor = matrix(key) * distinct
+        else:
+            tensor = matrix(key)
+        tensors.append((tensor, [axis[k], axis[l]]))
+    while tensors:
 
         def others(x):
-            return {a for _, axes in factors if x in axes for a in axes} - {x}
+            return {a for _, axes in tensors if x in axes for a in axes} - {x}
 
-        x = min({a for _, axes in factors for a in axes}, key=lambda a: len(others(a)))
+        x = min({a for _, axes in tensors for a in axes}, key=lambda a: len(others(a)))
         out = sorted(others(x))
         operands, rest = [], []
-        for factor, axes in factors:
+        for tensor, axes in tensors:
             if x in axes:
-                operands += [factor, axes]
+                operands += [tensor, axes]
             else:
-                rest.append((factor, axes))
+                rest.append((tensor, axes))
         tensor = np.einsum(*operands, out, dtype=np.int64)
         if out:
             rest.append((tensor, out))
         else:
             total *= int(tensor)
-        factors = rest
+        tensors = rest
+    return total
+
+
+def _dot(row, u, start):
+    """Sum of row[b] u[start + b]; a weight of None is all ones."""
+    return sum(row) if u is None else sum(map(mul, row, u[start:]))
+
+
+def _apply(rows, u, n, onto_rows, upper):
+    """The weight w[i] = sum_j F[i, j] u[j] that a leaf of weight u leaves
+    through its one factor F.  ``rows`` are F's rows as drawn, or None for
+    the mask i != j; ``onto_rows`` says that w lies on the label of the
+    rows, and ``upper`` that F is the masked symmetric signs of one
+    vertex, of which only the strict upper rows are drawn."""
+    if rows is None:
+        u = [1] * n if u is None else u
+        every = sum(u)
+        return [every - c for c in u]
+    w = [0] * n
+    for a, row in enumerate(rows):
+        start = a + 1 if upper else 0
+        if onto_rows or upper:  # row a against u
+            w[a] += _dot(row, u, start)
+        if not onto_rows or upper:  # row a, times u[a], over the columns
+            c = 1 if u is None else u[a]
+            w[start:] = [t + c * s for t, s in zip(w[start:], row)]
+    return w
+
+
+def _close(rows, u_rows, u_columns, n, upper):
+    """Sum over i and j of u_rows[i] F[i, j] u_columns[j], for the one factor
+    F between two labels that have no other, by dots alone: one per drawn
+    row, or two when only the upper rows of symmetric F are drawn.  ``rows``
+    and ``upper`` are as for ``_apply``."""
+    if rows is None:  # every pair (i, j) but those with i == j
+        a, b = ([1] * n if u is None else u for u in (u_rows, u_columns))
+        return sum(a) * sum(b) - sum(map(mul, a, b))
+    total = 0
+    for a, row in enumerate(rows):
+        start = a + 1 if upper else 0
+        total += (1 if u_rows is None else u_rows[a]) * _dot(row, u_columns, start)
+        if upper:
+            total += (1 if u_columns is None else u_columns[a]) * _dot(row, u_rows, start)
     return total
 
 
@@ -242,9 +348,11 @@ def variance_sweep(
     """Empirical variance of the pairing-weight estimator as M grows.
 
     Seeds are seed_base + 0 .. seed_base + samples - 1 so runs replay
-    bit for bit; every seed is keyed before the first estimate.  The slope
-    is a least-squares fit of log variance against log M, skipping zero
-    variances; with fewer than 3 distinct M left the fit is degenerate
+    bit for bit; every seed is keyed before the first estimate.  Each
+    variance is the exact sample variance of the estimates, rounded once.
+    The slope is the least-squares fit of log variance against log M,
+    skipping zero variances, computed exactly from the float logarithms and
+    rounded once; with fewer than 3 distinct M left the fit is degenerate
     and the slope is reported as exactly 0.  The budget caps each
     estimate at M^(n/2), and the whole sweep at samples x the sum of
     M^(n/2) over ``m_list``.
@@ -264,7 +372,7 @@ def variance_sweep(
         )
     # seed_base is keyed above, so every seed between is valid
     SeededSigns(graph, p, seed_base + samples - 1)
-    import numpy as np
+    import statistics
 
     rows = []
     for m in m_list:
@@ -272,14 +380,22 @@ def variance_sweep(
             _estimate(SeededSigns(graph, p, seed_base + k), word, pairs, m)
             for k in range(samples)
         ]
-        rows.append(VarianceRow(m, samples, float(np.var(values, ddof=1))))
+        rows.append(VarianceRow(m, samples, statistics.variance(values)))
     points = [(row.m, row.variance) for row in rows if row.variance > 0.0]
     if len({m for m, _ in points}) < 3:
         return VarianceSweepResult(tuple(rows), 0.0, True)
-    log_m = np.log([m for m, _ in points])
-    log_var = np.log([v for _, v in points])
-    slope = float(np.polyfit(log_m, log_var, 1)[0])
+    slope = _slope([math.log(m) for m, _ in points], [math.log(v) for _, v in points])
     return VarianceSweepResult(tuple(rows), slope, False)
+
+
+def _slope(xs, ys) -> float:
+    """The least-squares slope of ys against xs, exact and rounded once."""
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    k = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    sxy = sum(x * y for x, y in zip(xs, ys))
+    sxx = sum(x * x for x in xs)
+    return float((k * sxy - sx * sy) / (k * sxx - sx * sx))
 
 
 def convergence_csv(rows) -> str:

@@ -18,6 +18,7 @@ import hashlib
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 from .defaults import DEFAULT_BUDGET, DEFAULT_P
 from .errors import BudgetExceeded, DomainError, OddN
@@ -56,27 +57,37 @@ class SignFunction:
     def _key(self, i: int, v: str):
         return i, v
 
-    def _matrix(self, v: str, w: str, n: int):
-        """Signs between the indices 1..n of vertex v and those of w.
+    def _rows(self, v: str, w: str, n: int):
+        """The signs between the indices 1..n of vertex v and those of w, as
+        they are drawn: lazily, one row per index i of v, each unordered
+        generator pair once.  For ``v != w`` row i holds ``self(i, v, j, w)``
+        for j in 1..n; for ``v == w`` only the strict upper part, j in
+        i + 1..n.  The caller guarantees ``v <= w`` and that they are not
+        adjacent; rows are drawn for v, so for ``w < v`` they would disagree
+        with calls.
+        """
+        heads = [self._key(i, v) for i in range(1, n + 1)]
+        if v != w:
+            later = [self._key(j, w) for j in range(1, n + 1)]
+            return (self._row(head, later) for head in heads)
+        return (self._row(head, heads[a + 1 :]) for a, head in enumerate(heads))
 
-        Returns the int8 numpy matrix ``S[a, b] = self(a + 1, v, b + 1, w)``,
-        drawing each unordered generator pair once: for ``v == w`` the
-        strict upper triangle is drawn and mirrored, with -1 on the diagonal
-        (a label against itself).  The caller guarantees ``v <= w``; rows
-        are drawn for v, so for ``w < v`` they would disagree with calls.
+    def _matrix(self, v: str, w: str, n: int):
+        """``_rows`` written, as they are drawn, into the int8 numpy matrix
+        ``S[a, b] = self(a + 1, v, b + 1, w)``: for ``v == w`` the strict
+        upper triangle is mirrored, with -1 on the diagonal (a label against
+        itself).  The caller guarantees ``v <= w``.
         """
         import numpy as np
 
         if self.graph.is_edge(v, w):  # validates both vertices
             return np.ones((n, n), dtype=np.int8)
-        heads = [self._key(i, v) for i in range(1, n + 1)]
+        rows = self._rows(v, w, n)
         if v != w:
-            later = [self._key(j, w) for j in range(1, n + 1)]
-            rows = [self._row(head, later) for head in heads]
-            return np.array(rows, dtype=np.int8).reshape(n, n)
+            return np.fromiter(chain.from_iterable(rows), np.int8, n * n).reshape(n, n)
         square = np.full((n, n), -1, dtype=np.int8)
-        for a, head in enumerate(heads):
-            square[a, a + 1 :] = square[a + 1 :, a] = self._row(head, heads[a + 1 :])
+        for a, row in enumerate(rows):
+            square[a, a + 1 :] = square[a + 1 :, a] = row
         return square
 
     def _row(self, head, later: list) -> list[int]:

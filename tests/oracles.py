@@ -8,8 +8,10 @@ creation and annihilation as two separate passes for the fused field
 operator of ``fock``, and the delta pairing of Fock states for their
 adjoint; the vacuum coefficient of a product of generators taken one left
 multiplication at a time, with each generator's slot found by a scan of
-the universe, for ``SpinAlgebra``, and one whole-string hash per pair for
-the seeded signs.  They do not call the kernels they certify
+the universe, for ``SpinAlgebra``; one whole-string hash per pair for the
+seeded signs; and for the t-estimate contraction, which sums leaves out in
+Python ints as their rows are drawn, the all-numpy contraction of dense
+factors.  They do not call the kernels they certify
 (``test_oracles_are_independent`` checks that).
 """
 
@@ -315,3 +317,35 @@ def seeded_sign(graph: SimplicialGraph, p: float, seed: int, i, v, j, w) -> int:
         key = seed.to_bytes(size, "little", signed=True)
     digest = hashlib.blake2b(f"{v}:{i}|{w}:{j}".encode(), digest_size=8, key=key)
     return 1 if int.from_bytes(digest.digest(), "big") < int(p * 2**64) else -1
+
+
+def einsum_sum_of_products(factors) -> int:
+    """Exact sum, over every value of every label, of a product of dense
+    factors, each a numpy tensor with one axis per label it lists.  Labels
+    are eliminated one at a time, each time the one that shares factors with
+    the fewest other labels: the factors carrying it are contracted into one
+    int64 tensor over those other labels by ``np.einsum``, and it is summed
+    out."""
+    import numpy as np
+
+    total = 1
+    while factors:
+
+        def others(x):
+            return {a for _, axes in factors if x in axes for a in axes} - {x}
+
+        x = min({a for _, axes in factors for a in axes}, key=lambda a: len(others(a)))
+        out = sorted(others(x))
+        operands, rest = [], []
+        for factor, axes in factors:
+            if x in axes:
+                operands += [factor, axes]
+            else:
+                rest.append((factor, axes))
+        tensor = np.einsum(*operands, out, dtype=np.int64)
+        if out:
+            rest.append((tensor, out))
+        else:
+            total *= int(tensor)
+        factors = rest
+    return total

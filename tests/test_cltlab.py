@@ -1,4 +1,7 @@
+import math
 import random
+import statistics
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +17,7 @@ from graphmoments import (
     variance_sweep,
 )
 from graphmoments.cltlab import convergence_csv, variance_csv
-from graphmoments.errors import BudgetExceeded, DomainError, MalformedPartition
+from graphmoments.errors import BudgetExceeded, DomainError, MalformedPartition, SizeLimit
 
 
 def class_tuple_count(word, pairs, n):
@@ -106,6 +109,32 @@ def test_t_estimate_budget(single):
         t_estimate(ConstantSigns(single), single, word, pairing, 100, budget=100)
 
 
+def _one_vertex_per_block(pairs):
+    """The word of one vertex per block on the edgeless graph."""
+    r = len(pairs)
+    vertices = [f"v{k}" for k in range(r)]
+    word = [None] * (2 * r)
+    for v, (e, z) in zip(vertices, pairs):
+        word[e - 1] = word[z - 1] = v
+    return build_graph(vertices), tuple(word), PairPartition.from_pairs(pairs, 2 * r)
+
+
+def test_only_blocks_on_cycles_count_towards_the_contraction_labels():
+    # every two blocks cross: one clique, contracted by numpy
+    for r in (52, 53):
+        graph, word, pairing = _one_vertex_per_block([(k + 1, k + 1 + r) for k in range(r)])
+        if r == 52:
+            assert t_estimate(ConstantSigns(graph), graph, word, pairing, 1) == 1.0
+        else:
+            with pytest.raises(SizeLimit, match="53 crossing blocks on cycles"):
+                t_estimate(ConstantSigns(graph), graph, word, pairing, 1)
+    # each block crosses the next only: a path of 60, summed out leaf by leaf
+    r = 60
+    path = [(1, 3), *((2 * k, 2 * k + 3) for k in range(1, r - 1)), (2 * r - 2, 2 * r)]
+    graph, word, pairing = _one_vertex_per_block(path)
+    assert t_estimate(ConstantSigns(graph), graph, word, pairing, 1) == 1.0
+
+
 def test_convergence_sweep_edge_graph_is_exact(edge2):
     word = parse_labeled_word("a:1 b:1 a:1 b:1")
     rows = convergence_sweep(edge2, word, [2, 8], [0, 1, 2], 0.5)
@@ -165,17 +194,46 @@ def test_variance_sweep_rows_are_the_variance_of_t_estimate(word, text):
     pairing = PairPartition.parse(text, len(word))
     m_list, samples, p, seed_base = [2, 3, 5], 6, 0.3, 40
     result = variance_sweep(graph, tuple(word), pairing, m_list, samples, p, seed_base)
-    expected = [
-        float(np.var(
-            [t_estimate(SeededSigns(graph, p, seed_base + k), graph, tuple(word), pairing, m)
-             for k in range(samples)],
-            ddof=1,
-        ))
+    estimates = [
+        [t_estimate(SeededSigns(graph, p, seed_base + k), graph, tuple(word), pairing, m)
+         for k in range(samples)]
         for m in m_list
     ]
     assert [(row.m, row.samples) for row in result.rows] == [(m, samples) for m in m_list]
-    assert [row.variance for row in result.rows] == expected
-    assert any(v > 0.0 for v in expected)
+    # the exact sample variance, rounded once; numpy's float sums agree but
+    # for the last bits
+    assert [row.variance for row in result.rows] == [statistics.variance(e) for e in estimates]
+    for row, values in zip(result.rows, estimates):
+        assert math.isclose(row.variance, float(np.var(values, ddof=1)), rel_tol=1e-12)
+    assert any(row.variance > 0.0 for row in result.rows)
+
+
+def least_squares_slope(points):
+    """The least-squares slope of log variance against log M, in exact
+    rationals from the float logarithms, as the centred sums."""
+    xs = [Fraction(math.log(m)) for m, _ in points]
+    ys = [Fraction(math.log(v)) for _, v in points]
+    x_bar, y_bar = sum(xs) / len(xs), sum(ys) / len(ys)
+    covariance = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    return float(covariance / sum((x - x_bar) ** 2 for x in xs))
+
+
+@pytest.mark.parametrize(
+    "word, text, m_list",
+    [("aaaa", "1-3,2-4", [4, 8, 16]), ("abab", "1-3,2-4", [3, 5, 7, 11]),
+     ("aaaa", "1-3,2-4", [4, 4, 8, 16])],
+)
+def test_variance_sweep_slope_is_the_exact_least_squares_slope(word, text, m_list):
+    import numpy as np
+
+    graph = build_graph(["a", "b"])
+    pairing = PairPartition.parse(text, len(word))
+    result = variance_sweep(graph, tuple(word), pairing, m_list, 4, 0.5, 3)
+    points = [(row.m, row.variance) for row in result.rows]
+    assert not result.degenerate and all(v > 0.0 for _, v in points)
+    assert result.slope == least_squares_slope(points)
+    polyfit = np.polyfit(np.log([m for m, _ in points]), np.log([v for _, v in points]), 1)
+    assert math.isclose(result.slope, float(polyfit[0]), rel_tol=1e-12)
 
 
 def test_variance_sweep_decay_slope(single):

@@ -1,7 +1,8 @@
 """What a process imports.  ``import graphmoments`` loads no submodule, and
-each command loads only the modules of its own route: numpy only in the clt
-kernels, so every other command and every rejected input runs without it,
-and dataclasses in no command."""
+each command loads only the modules of its own route: numpy only where a
+clt estimate's crossing graph has a cycle, so every other command, every
+forest-shaped pairing and every rejected input runs without it, and
+dataclasses in no command."""
 
 import ast
 import json
@@ -59,6 +60,20 @@ print(json.dumps({"loaded": loaded, "mismatched": mismatched, "unbound": unbound
                   "error": error}))
 """
 
+# Runs its arguments as a Python process and reports that process's exit
+# status, stdout and ru_maxrss, read with os.wait4.  On Linux a child's
+# ru_maxrss includes the RSS of the process that started it, up to its exec,
+# so a small interpreter starts it rather than the test process.
+PEAK_RSS = """
+import json, os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-c", *sys.argv[1:]], stdout=subprocess.PIPE, text=True)
+with proc.stdout:
+    out = proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+proc.returncode = os.waitstatus_to_exitcode(status)
+print(json.dumps({"status": proc.returncode, "out": out, "maxrss": usage.ru_maxrss}))
+"""
+
 A4 = "a:1 a:1 a:1 a:1"
 T_ESTIMATE = ["clt", "t-estimate", "--word", "a a a a", "--pairing", "1-3,2-4"]
 VARIANCE = ["clt", "variance", "--word", "a a a a", "--pairing", "1-3,2-4"]
@@ -97,10 +112,18 @@ WITHOUT_NUMPY = {
         3,
         MATRIX,
     ),
+    "t-estimate": (T_ESTIMATE + ["--N", "10", "--signs", "constant"], 0, CLT),
+    "variance": (VARIANCE + ["--M-list", "4,8", "--samples", "8", "--p", "1.0"], 0, CLT),
     "t-estimate-invalid-input": (T_ESTIMATE + ["--N", "0"], 2, CLT),
     "variance-over-budget": (
         VARIANCE + ["--M-list", "4", "--samples", str(10**8)], 3, CLT
     ),
+}
+
+# The stdout of the clt rows above.
+STDOUT = {
+    "t-estimate": "0.9\n",
+    "variance": "M,samples,variance\n4,8,0.0\n8,8,0.0\n# slope=0\n",
 }
 
 
@@ -132,30 +155,39 @@ def assert_loaded(result, modules, bare_has_dataclasses):
     assert not result["dataclasses"] or bare_has_dataclasses
 
 
-@pytest.mark.parametrize(
-    "argv, code, modules", WITHOUT_NUMPY.values(), ids=WITHOUT_NUMPY.keys()
-)
-def test_command_runs_without_numpy(graph_path, bare_has_dataclasses, argv, code, modules):
+@pytest.mark.parametrize("name", WITHOUT_NUMPY)
+def test_command_runs_without_numpy(graph_path, bare_has_dataclasses, name):
+    argv, code, modules = WITHOUT_NUMPY[name]
     result = run_fresh(RUN_MAIN, *argv, "--graph", graph_path)
     assert result["code"] == code
+    if name in STDOUT:
+        assert result["out"] == STDOUT[name]
     assert not result["numpy"]
     assert_loaded(result, modules, bare_has_dataclasses)
 
 
-@pytest.mark.parametrize(
-    "argv, out",
-    [
-        (T_ESTIMATE + ["--N", "10", "--signs", "constant"], "0.9\n"),
-        (VARIANCE + ["--M-list", "4,8", "--samples", "8", "--p", "1.0"],
-         "M,samples,variance\n4,8,0.0\n8,8,0.0\n# slope=0\n"),
-    ],
-    ids=["t-estimate", "variance"],
-)
-def test_clt_kernels_load_numpy(graph_path, bare_has_dataclasses, argv, out):
+def test_clt_kernels_load_numpy(graph_path, bare_has_dataclasses):
+    # the three blocks of a^6 under 1-4,2-5,3-6 cross pairwise: a triangle
+    argv = ["clt", "t-estimate", "--word", "a a a a a a", "--pairing", "1-4,2-5,3-6",
+            "--N", "10", "--signs", "constant"]
     result = run_fresh(RUN_MAIN, *argv, "--graph", graph_path)
-    assert (result["code"], result["out"]) == (0, out)
+    assert (result["code"], result["out"]) == (0, "0.72\n")
     assert result["numpy"]
     assert_loaded(result, CLT, bare_has_dataclasses)
+
+
+def test_forest_estimate_holds_no_sign_matrix(graph_path):
+    # the one a-b crossing at N = 1000: its sign block would take 1 MB as
+    # int8 and 8 MB as lists, besides numpy itself (about 40 MB in all when
+    # the whole block was drawn); summed row by row the process stays near
+    # the interpreter's own size
+    argv = ["clt", "t-estimate", "--word", "a b a b", "--pairing", "1-3,2-4",
+            "--N", "1000", "--graph", graph_path]
+    measured = run_fresh(PEAK_RSS, RUN_MAIN, *argv)
+    result = json.loads(measured["out"])
+    assert (measured["status"], result["code"], result["numpy"]) == (0, 0, False)
+    peak_mb = measured["maxrss"] / (2**20 if sys.platform == "darwin" else 2**10)
+    assert peak_mb < 24
 
 
 def test_package_import_loads_no_submodule_and_exports_lazily():

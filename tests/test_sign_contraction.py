@@ -1,6 +1,7 @@
 """Differential tests of the sign layer's consumers: the sign matrices
 against direct sign queries, the t-estimate contraction against a
-brute-force sum over index tuples, and the split matrix-model moment, on
+brute-force sum over index tuples and, on random factor graphs, against
+one numpy contraction of dense factors, and the split matrix-model moment, on
 every rotation of its word and on words whose commuting pairs cancel,
 against one sweep over every index of every vertex; with the sweep
 kernel's occupancy cap against the plain kernel, the algebra's restricted
@@ -27,10 +28,17 @@ from graphmoments import (
     parse_labeled_word,
     t_estimate,
 )
+from graphmoments.cltlab import _sum_of_products
 from graphmoments.errors import DomainError, UnknownVertex
 from graphmoments.spinmodel import _cancel_commuting_pairs, _cheapest_cut, sign_table
 from tests.conftest import ExplicitSigns, replay, small_graphs
-from tests.oracles import every_index_algebra, left_multiply, rank, seeded_sign
+from tests.oracles import (
+    einsum_sum_of_products,
+    every_index_algebra,
+    left_multiply,
+    rank,
+    seeded_sign,
+)
 
 REPLAY = replay(150)
 
@@ -231,14 +239,89 @@ def test_spin_algebra_draws_each_free_pair_once_canonically():
 
 
 def test_t_estimate_draws_each_pair_once():
-    # the a-b crossing of blocks 1, 2 and the b-a crossing of blocks 3, 4
-    # share one sign matrix
-    graph = build_graph(["a", "b"])
-    word = tuple("abab" "baba")
-    partition = PairPartition.parse("1-3,2-4,5-7,6-8", 8)
-    signs = CountingSigns(graph)
-    t_estimate(signs, graph, word, partition, 5)
-    assert len(signs.queries) == len(set(signs.queries)) == 25
+    for vertices, word, pairing, draws in (
+        # the a-b crossing of blocks 1, 2 and the b-a crossing of blocks 3,
+        # 4 share one sign block; the a-a and b-b masks close them into a
+        # cycle, as they do for any two factors of one vertex pair
+        ("ab", "abab" "baba", "1-3,2-4,5-7,6-8", 25),
+        # the same cycle, with the c block hanging off it, a leaf
+        ("abc", "acbabc" "baba", "1-4,2-6,3-5,7-9,8-10", 50),
+        # a forest: the a-b and b-c crossings of one path
+        ("abc", "abacbc", "1-3,2-5,4-6", 50),
+    ):
+        graph = build_graph(list(vertices))
+        partition = PairPartition.parse(pairing, len(word))
+        signs = CountingSigns(graph)
+        value = t_estimate(signs, graph, tuple(word), partition, 5)
+        assert len(signs.queries) == len(set(signs.queries)) == draws, word
+        oracle = SeededSigns(graph, 0.5, 7)  # CountingSigns' own signs
+        assert value == brute_force_t(oracle, graph, tuple(word), partition.pairs, 5), word
+
+
+@st.composite
+def factor_graphs(draw, graph):
+    """Factor graphs over the labels 0, 1, ...: a cycle of 3 to 5 labels or
+    none, trees hanging off it or standing alone, and at most one chord.
+    Each factor, in a random orientation, is the mask or the signs of a
+    random vertex pair, so that several factors may read one pair."""
+    size = draw(st.sampled_from([0, 0, 3, 4, 5]))
+    edges = [(a, (a + 1) % size) for a in range(size)]
+    for label in range(size, size + draw(st.integers(0 if size else 1, 5))):
+        parent = draw(st.none() | st.integers(0, label - 1)) if label else None
+        edge = (label, label + 1) if parent is None else (parent, label)
+        if edge not in edges:
+            edges.append(edge)
+    labels = sorted({x for edge in edges for x in edge})
+    if draw(st.booleans()):
+        k, l = draw(st.permutations(labels))[:2]
+        if (k, l) not in edges and (l, k) not in edges:
+            edges.append((k, l))
+    pairs = [
+        (v, w)
+        for v, w in itertools.combinations_with_replacement(graph.vertices, 2)
+        if not graph.is_edge(v, w)
+    ]
+    factors = {}
+    for k, l in edges:
+        if draw(st.booleans()):
+            k, l = l, k
+        factors[k, l] = draw(st.sampled_from([None, *pairs]))
+    return factors
+
+
+def dense_factors(signs, n, factors):
+    """Each factor as its numpy matrix: the mask is 1 - I, and the signs of
+    one vertex are masked."""
+    import numpy as np
+
+    distinct = 1 - np.eye(n, dtype=np.int8)
+    dense = []
+    for axes, key in factors.items():
+        if key is None:
+            matrix = distinct
+        else:
+            matrix = signs._matrix(*key, n) * (distinct if key[0] == key[1] else 1)
+        dense.append((matrix, list(axes)))
+    return dense
+
+
+@REPLAY
+@given(st.data())
+def test_leaf_elimination_equals_the_numpy_contraction(data):
+    graph = data.draw(small_graphs())
+    factors = data.draw(factor_graphs(graph))
+    n = data.draw(st.integers(1, 5))
+    signs = data.draw(sign_functions(graph, n))
+    expected = einsum_sum_of_products(dense_factors(signs, n, factors))
+    assert _sum_of_products(signs, n, factors) == expected
+    # each vertex pair is drawn once, however many factors read it
+    counting = CountingSigns(graph)
+    expected = einsum_sum_of_products(dense_factors(SeededSigns(graph, 0.5, 7), n, factors))
+    assert _sum_of_products(counting, n, factors) == expected
+    drawn = {key for key in factors.values() if key}
+    assert len(counting.queries) == len(set(counting.queries)) == sum(
+        n * n if v != w else n * (n - 1) // 2 for v, w in drawn
+    )
 
 
 def brute_force_t(signs, graph, word, pairs, n):
