@@ -11,10 +11,14 @@ annihilation, applied in one pass: for each word it finds once the block
 of the letter's vertex that can move to the front, and emits the created
 word and, when that block's head has the letter's spin, the annihilated
 one.  Both edit the canonical letter tuple in place and re-derive the
-block order only when a block appears or disappears; growing or shrinking
-a block leaves the collapsed word, hence the order, unchanged.  All inner
-products in this model are 0 or 1, hence states are plain dictionaries
-mapping canonical words to integers and the whole module is float-free.
+block order only when it can change.  Growing or shrinking a block leaves
+the collapsed word, hence the order, unchanged.  A new front block that
+sorts below the old first block is in order: a lower letter that could
+move to the front would have made the old word non-minimal.  And a dying
+first or last block leaves a suffix or a prefix of a normal form, which is
+a normal form.  All inner products in this model are 0 or 1, hence states
+are plain dictionaries mapping canonical words to integers and the whole
+module is float-free.
 """
 
 from __future__ import annotations
@@ -78,8 +82,11 @@ def apply_field(
     to the front.  Creation joins the letter to that head, or makes it a
     new front block when no such block exists.  Annihilation removes that
     head when its spin matches; otherwise, or when there is no such block,
-    the term dies.  Result words holding more than ``max_letters`` letters
-    equal to ``letter`` are dropped before they are built.
+    the term dies.  The block order is re-derived only for a new front
+    block that sorts above the first block, and for a dying block that is
+    neither the first nor the last.  Result words holding more than
+    ``max_letters`` letters equal to ``letter`` are dropped before they are
+    built.
     """
     v, spin = letter
     link = graph.link(v)
@@ -91,11 +98,13 @@ def apply_field(
             if idx >= 0:
                 created = word[:idx] + (letter,) + word[idx:]
             else:
-                created = _canonical(graph, (letter,) + word)
+                created = (letter,) + word
+                if word and word[0][0] < v:
+                    created = _canonical(graph, created)
             _accumulate(out, created, coeff)
         if idx >= 0 and word[idx][1] == spin and count <= max_letters + 1:
             rest = word[:idx] + word[idx + 1 :]
-            if idx == len(rest) or rest[idx][0] != v:  # the block died
+            if 0 < idx < len(rest) and rest[idx][0] != v:  # a middle block died
                 rest = _canonical(graph, rest)
             _accumulate(out, rest, coeff)
     return out

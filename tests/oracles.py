@@ -5,14 +5,15 @@ rewriting moves and their breadth-first closure for ``words.normalize``,
 and for longer words a fixed-point reduction that rescans after every
 merge and a greedy extraction of the smallest front-movable letter;
 creation and annihilation as two separate passes for the fused field
-operator of ``fock``, and the delta pairing of Fock states for their
-adjoint; the vacuum coefficient of a product of generators taken one left
-multiplication at a time, with each generator's slot found by a scan of
-the universe, for ``SpinAlgebra``; one whole-string hash per pair for the
-seeded signs; and for the t-estimate contraction, which sums leaves out in
-Python ints as their rows are drawn, the all-numpy contraction of dense
-factors.  They do not call the kernels they certify
-(``test_oracles_are_independent`` checks that).
+operator of ``fock``, with the blocks of every basis word ordered by that
+greedy extraction and checked by that fixed-point reduction, and the delta
+pairing of Fock states for their adjoint; the vacuum coefficient of a
+product of generators taken one left multiplication at a time, with each
+generator's slot found by a scan of the universe, for ``SpinAlgebra``; one
+whole-string hash per pair for the seeded signs; and for the t-estimate
+contraction, which sums leaves out in Python ints as their rows are drawn,
+the all-numpy contraction of dense factors.  They do not call the kernels
+they certify (``test_oracles_are_independent`` checks that).
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from graphmoments.errors import (
     GraphMomentsError,
     InvalidToken,
 )
-from graphmoments.fock import BasisWord, FockState, _canonical
+from graphmoments.fock import BasisWord, FockState
 from graphmoments.graph import SimplicialGraph
 from graphmoments.partitions import validate_labeled_word
 from graphmoments.spinmodel import SpinAlgebra
-from graphmoments.words import Word, is_reduced
+from graphmoments.words import Word
 
 CANCEL = "cancel"
 SWAP = "swap"
@@ -189,6 +190,14 @@ def slow_normal_form(graph: SimplicialGraph, vertices) -> list[int]:
     return order
 
 
+def block_canonical(graph: SimplicialGraph, letters) -> BasisWord:
+    """The blocks of a basis word in the order ``slow_normal_form`` gives
+    their collapsed vertex word."""
+    blocks = [tuple(block) for _, block in groupby(letters, itemgetter(0))]
+    order = slow_normal_form(graph, [block[0][0] for block in blocks])
+    return tuple(letter for k in order for letter in blocks[k])
+
+
 def canonical_basis_word(graph: SimplicialGraph, letters) -> BasisWord:
     """Validate a letter sequence as a basis word and canonicalize it.
 
@@ -198,11 +207,11 @@ def canonical_basis_word(graph: SimplicialGraph, letters) -> BasisWord:
     letters = tuple(letters)
     validate_labeled_word(graph, letters)
     collapsed = tuple(v for v, _ in groupby(letters, itemgetter(0)))
-    if not is_reduced(graph, collapsed):
+    if slow_reduce(graph, collapsed) != collapsed:
         raise InvalidToken(
             f"letters {letters!r} collapse to a non-reduced word {collapsed!r}"
         )
-    return _canonical(graph, letters)
+    return block_canonical(graph, letters)
 
 
 def _movable_block(graph: SimplicialGraph, word: BasisWord, v: str) -> int:
@@ -225,7 +234,7 @@ def apply_create(graph: SimplicialGraph, state: FockState, letter) -> FockState:
         if idx >= 0:
             created = word[:idx] + (letter,) + word[idx:]
         else:
-            created = _canonical(graph, (letter,) + word)
+            created = block_canonical(graph, (letter,) + word)
         out[created] = out.get(created, 0) + coeff
     return {word: coeff for word, coeff in out.items() if coeff}
 
@@ -238,7 +247,7 @@ def apply_annihilate(graph: SimplicialGraph, state: FockState, letter) -> FockSt
         idx = _movable_block(graph, word, letter[0])
         if idx < 0 or word[idx] != letter:
             continue
-        rest = _canonical(graph, word[:idx] + word[idx + 1 :])
+        rest = block_canonical(graph, word[:idx] + word[idx + 1 :])
         out[rest] = out.get(rest, 0) + coeff
     return {word: coeff for word, coeff in out.items() if coeff}
 

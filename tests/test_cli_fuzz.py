@@ -6,18 +6,26 @@ never raise; on exit 1 stderr names the usage error, and on exit 2 or 3
 stdout is empty and stderr is one ``graphmoments:`` line.  Sizes stay small (N and M at most 6, words of at
 most 8 letters), so every command that answers answers quickly.  A fixed
 table holds every subcommand to the same contract on one 2,200-letter word
-with raised caps.
+with raised caps, and one process normalizes a 60,000-letter word whose
+normal form is built by insertions into the middle of the list.
 """
 
+import hashlib
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import graphmoments
 from graphmoments.cli import main
 from tests.conftest import replay
 
@@ -276,3 +284,32 @@ def test_every_subcommand_takes_a_long_word(long_graph, name):
     start = time.process_time()
     assert run([*head, "--graph", long_graph, *flags]) == expected
     assert time.process_time() - start < 5.0
+
+
+# Two commuting chains, b c and x y, interleaved: the normal form is
+# (b c)^15000 (x y)^15000, so every b and c is inserted in the middle of the
+# list and the list moves grow with the square of the length.  At 2 bytes a
+# letter, one argument holds at most about 65,000 letters.
+WIDE_GRAPH = {
+    "vertices": ["b", "c", "x", "y"],
+    "edges": [["b", "x"], ["b", "y"], ["c", "x"], ["c", "y"]],
+}
+WIDE_WORD = " ".join(["b c x y"] * 15000)
+WIDE_MD5 = "b78a48f59c9fff761ff335bce7935849"
+
+
+def test_normalize_process_takes_a_word_of_middle_insertions(tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(WIDE_GRAPH))
+    src = str(Path(graphmoments.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["normalize", "--graph", str(path), "--word", WIDE_WORD]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphmoments.cli", *argv],
+        capture_output=True, env=env, check=True,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    spent = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    assert hashlib.md5(proc.stdout).hexdigest() == WIDE_MD5
+    assert spent < 2.0

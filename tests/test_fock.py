@@ -1,11 +1,12 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphmoments import build_graph, count_gamma_admissible, vacuum, vacuum_moment
+from graphmoments import build_graph, count_gamma_admissible, fock, vacuum, vacuum_moment
 from graphmoments.errors import InvalidToken, SizeLimit, UnknownVertex
 from graphmoments.fock import apply_field
 from tests.conftest import (
@@ -110,6 +111,61 @@ def test_field_is_create_plus_annihilate(data):
         for cap in range(5):
             kept = {w: c for w, c in both.items() if w.count(letter) <= cap}
             assert apply_field(graph, state, letter, max_letters=cap) == kept
+
+
+def field_reorders(graph, word, letter, max_letters):
+    """apply_field on one basis word, and how many times it re-derived a
+    block order."""
+    with mock.patch.object(fock, "_canonical", wraps=fock._canonical) as canonical:
+        out = apply_field(graph, {word: 1}, letter, max_letters=max_letters)
+    return out, canonical.call_count
+
+
+def letters(text):
+    return tuple((v, 1) for v in text.split())
+
+
+def test_field_reorders_only_when_the_order_can_change(graphs):
+    path3 = graphs["path3"]  # edges a-b and b-c
+    # a new front block below the first block is already in order
+    assert field_reorders(path3, letters("b c"), ("a", 1), 1) == ({letters("a b c"): 1}, 0)
+    # c cannot pass a, but b passes c
+    assert field_reorders(path3, letters("a b"), ("c", 1), 1) == ({letters("b c a"): 1}, 1)
+    # without the middle block c, b passes a
+    assert field_reorders(path3, letters("b c a"), ("c", 1), 0) == ({letters("a b"): 1}, 1)
+    # the dying block is the first or the last one: the rest is a suffix or
+    # a prefix of a canonical word
+    assert field_reorders(path3, letters("b c a"), ("b", 1), 0) == ({letters("c a"): 1}, 0)
+    assert field_reorders(path3, letters("a b"), ("b", 1), 0) == ({letters("a"): 1}, 0)
+
+
+@st.composite
+def graphs_and_paired_words(draw):
+    """Words in which each letter occurs an even number of times, so that
+    the caps of ``vacuum_moment`` keep terms alive to the end."""
+    graph = draw(small_graphs())
+    n = draw(st.integers(0, 6))
+    letter = st.tuples(st.sampled_from(graph.vertices), st.sampled_from([1, 2]))
+    half = draw(st.lists(letter, min_size=n, max_size=n))
+    return graph, tuple(draw(st.permutations(half + half)))
+
+
+@replay(500)
+@given(graphs_and_paired_words())
+def test_every_state_of_a_moment_is_canonical(case):
+    graph, word = case
+    states = []
+
+    def recorded(*args, **kwargs):
+        states.append(apply_field(*args, **kwargs))
+        return states[-1]
+
+    with mock.patch.object(fock, "apply_field", recorded):
+        fock.vacuum_moment(graph, word)
+    assert len(states) == len(word)
+    for state in states:
+        for key in state:
+            assert key == canonical_basis_word(graph, key)
 
 
 def test_vacuum_moment_examples(edge2, noedge2):

@@ -10,10 +10,13 @@ from pathlib import Path
 # creation and annihilation oracles find the front-movable block
 # themselves: they name neither the fused field operator nor its front scan.
 # The sweep oracles apply every letter: they name no pass that cancels pairs.
+# The basis-word oracles order the blocks and test reducedness with the slow
+# word references: they name neither the Fock block order nor the word
+# kernel's reducedness test.
 KERNELS = {
-    "normalize", "normal_form_order", "apply_b", "apply_field",
-    "_front", "SignFunction", "SeededSigns", "_key", "_row", "_matrix",
-    "_cancel_commuting_pairs",
+    "normalize", "normal_form_order", "is_reduced", "_canonical", "apply_b",
+    "apply_field", "_front", "SignFunction", "SeededSigns", "_key", "_row",
+    "_matrix", "_cancel_commuting_pairs",
 }
 
 

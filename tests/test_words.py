@@ -200,12 +200,31 @@ def graphs_and_words(draw):
     return graph, tuple(word)
 
 
-@replay(300)
-@given(graphs_and_words())
-def test_kernel_equals_slow_reference(case):
-    g, word = case
+@st.composite
+def graphs_and_periodic_words(draw):
+    """40 to 120 letters repeating a pattern of at most six: long runs of the
+    same insertions, merges and passes."""
+    graph = draw(small_graphs(max_vertices=6))
+    pattern = draw(st.lists(st.sampled_from(graph.vertices), min_size=1, max_size=6))
+    n = draw(st.integers(40, 120))
+    return graph, tuple(pattern[k % len(pattern)] for k in range(n))
+
+
+def assert_kernel_equals_slow_reference(g, word):
     reduced = slow_reduce(g, word)
     order = slow_normal_form(g, reduced)
     assert normalize(g, word) == tuple(reduced[k] for k in order)
     assert is_reduced(g, word) == (reduced == word)
     assert normal_form_order(g, reduced) == order
+
+
+@replay(300)
+@given(graphs_and_words())
+def test_kernel_equals_slow_reference(case):
+    assert_kernel_equals_slow_reference(*case)
+
+
+@replay(100)
+@given(graphs_and_periodic_words())
+def test_kernel_equals_slow_reference_on_periodic_words(case):
+    assert_kernel_equals_slow_reference(*case)
